@@ -23,19 +23,13 @@ from .extension import (
     pivot_extend,
 )
 from .matrixio import ParseError, emit_matrix, load_matrix, parse_matrix, save_matrix
-from .oracle import (
-    GeneratorSpec,
-    brute_check_order,
-    inf_reconstruction_probe,
-    random_zadeh_order,
-)
+from .oracle import GeneratorSpec, brute_check_order, random_zadeh_order
 from .preserving import (
     ClampResult,
     ExtensionFamily,
     FamilyMember,
     certifying_family,
     clamp_extend,
-    drop_preserving_members,
     verify_intersection,
 )
 from .relation import (
@@ -82,11 +76,9 @@ __all__ = [
     "check_order",
     "clamp_extend",
     "count_incomparable_entries",
-    "drop_preserving_members",
     "emit_matrix",
     "extends",
     "incomparable_pairs",
-    "inf_reconstruction_probe",
     "is_antisymmetric",
     "is_linear",
     "is_reflexive",

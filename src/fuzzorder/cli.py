@@ -17,11 +17,17 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .extension import linearize, pivot_extend
-from .matrixio import ParseError, emit_matrix, format_for_path, load_matrix, save_matrix
+from .matrixio import (
+    ParseError,
+    _value_text,
+    emit_matrix,
+    format_for_path,
+    load_matrix,
+    save_matrix,
+)
 from .oracle import GeneratorSpec, random_zadeh_order
 from .preserving import certifying_family, clamp_extend, verify_intersection
 from .relation import (
@@ -29,33 +35,10 @@ from .relation import (
     EmptyFamilyError,
     PreconditionError,
     check_order,
-    incomparable_pairs,
     is_linear,
 )
 
-__all__ = ["RunReport", "build_parser", "main", "run_command"]
-
-
-@dataclass
-class RunReport:
-    """Everything one command run produced, in machine-readable form."""
-
-    command: list[str]
-    verdicts: dict = field(default_factory=dict)
-    witnesses: object = None
-    trace: dict | None = None
-    family: dict | None = None
-    timing: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "verdicts": self.verdicts,
-            "witnesses": self.witnesses,
-            "trace": self.trace,
-            "family": self.family,
-            "timing": self.timing,
-        }
+__all__ = ["build_parser", "main", "run_command"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,26 +100,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt_value(v: float) -> str:
-    return repr(int(v)) if float(v).is_integer() else repr(v)
-
-
 def _emit_result(args, relation, fmt, info, report):
-    out_fmt = getattr(args, "format", None) or fmt
-    document = emit_matrix(relation, out_fmt)
-    if getattr(args, "output", None):
+    document = emit_matrix(relation, args.format or fmt)
+    if args.output:
         Path(args.output).write_text(document, encoding="utf-8")
         info.append(f"wrote {args.output}")
     else:
-        report.setdefault("output", document)
-    return document
+        report["output"] = document
 
 
 def _cmd_check(args, report):
     relation, _ = load_matrix(args.file)
     axioms = check_order(relation)
     linear = is_linear(relation)
-    pairs = incomparable_pairs(relation)
+    pairs = linear.witnesses
     report["verdicts"] = {
         "zadeh_order": axioms.is_order,
         "reflexive": axioms.reflexive,
@@ -156,18 +133,18 @@ def _cmd_check(args, report):
         f"linear: {yn(linear.passed)}; incomparable pairs: {len(pairs)}"
     ]
     for x, v in axioms.reflexivity_witnesses:
-        info.append(f"reflexivity violated at ({x},{x}): {_fmt_value(v)} != 1")
+        info.append(f"reflexivity violated at ({x},{x}): {_value_text(v)} != 1")
     for (x, y), fwd, back in axioms.antisymmetry_witnesses:
         info.append(
             f"antisymmetry violated at {{{x},{y}}}: "
-            f"r({x},{y})={_fmt_value(fwd)} and r({y},{x})={_fmt_value(back)}"
+            f"r({x},{y})={_value_text(fwd)} and r({y},{x})={_value_text(back)}"
         )
     for (x, y, z), v, bound in axioms.transitivity_witnesses:
         info.append(
             f"transitivity violated at ({x},{y},{z}): "
-            f"r({x},{z})={_fmt_value(v)} < {_fmt_value(bound)}"
+            f"r({x},{z})={_value_text(v)} < {_value_text(bound)}"
         )
-    return (0 if axioms.is_order else 1), info, None
+    return (0 if axioms.is_order else 1), info
 
 
 def _cmd_linearize(args, report):
@@ -192,9 +169,9 @@ def _cmd_linearize(args, report):
         for step in result.trace:
             info.append(f"pivot {step.step_index}: {step.a.label} above {step.b.label}")
             for (x, y), old, new in step.entries_raised:
-                info.append(f"  ({x},{y}): {_fmt_value(old)} -> {_fmt_value(new)}")
+                info.append(f"  ({x},{y}): {_value_text(old)} -> {_value_text(new)}")
     _emit_result(args, result.relation, fmt, info, report)
-    return 0, info, result.relation
+    return 0, info
 
 
 def _cmd_pivot(args, report):
@@ -205,7 +182,7 @@ def _cmd_pivot(args, report):
     report["trace"] = {"k": 1, "m": None, "pivots": [[args.a, args.b]]}
     info = [f"pivot applied: {args.a} above {args.b} ({changed} entries raised)"]
     _emit_result(args, extended, fmt, info, report)
-    return 0, info, extended
+    return 0, info
 
 
 def _cmd_clamp(args, report):
@@ -216,9 +193,9 @@ def _cmd_clamp(args, report):
         "beta": result.beta,
         "preserved_pair": [args.a, args.b],
     }
-    info = [f"linear extension preserving ({args.a},{args.b}) = {_fmt_value(result.beta)}"]
+    info = [f"linear extension preserving ({args.a},{args.b}) = {_value_text(result.beta)}"]
     _emit_result(args, result.relation, fmt, info, report)
-    return 0, info, result.relation
+    return 0, info
 
 
 def _cmd_family(args, report):
@@ -251,14 +228,31 @@ def _cmd_family(args, report):
     else:
         for member in family.members:
             info.append("member tags: " + ", ".join(member.tags))
-    return 0, info, None
+    return 0, info
+
+
+def _manifest_paths(directory: Path, manifest: Path) -> list[Path]:
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    listed = doc.get("members") if isinstance(doc, dict) else None
+    if not isinstance(listed, list):
+        raise ParseError(f'{manifest}: expected an object with a "members" list')
+    root = directory.resolve()
+    paths = []
+    for k, entry in enumerate(listed, start=1):
+        name = entry.get("file") if isinstance(entry, dict) else None
+        if not isinstance(name, str):
+            raise ParseError(f'{manifest}: member {k} must be an object with a string "file"')
+        path = (root / name).resolve()
+        if Path(name).is_absolute() or not path.is_relative_to(root):
+            raise ParseError(f"{manifest}: member {k} file {name!r} lies outside {directory}")
+        paths.append(path)
+    return paths
 
 
 def _read_family_dir(directory: Path):
     manifest = directory / "family.json"
     if manifest.exists():
-        listed = json.loads(manifest.read_text(encoding="utf-8"))["members"]
-        paths = [directory / entry["file"] for entry in listed]
+        paths = _manifest_paths(directory, manifest)
     else:
         paths = sorted(
             p for p in directory.iterdir()
@@ -279,9 +273,9 @@ def _cmd_verify(args, report):
     info = [f"intersection matches: {'yes' if verdict.passed else 'no'}"]
     for (x, y), inf, expected in verdict.witnesses:
         info.append(
-            f"mismatch at ({x},{y}): inf={_fmt_value(inf)}, expected {_fmt_value(expected)}"
+            f"mismatch at ({x},{y}): inf={_value_text(inf)}, expected {_value_text(expected)}"
         )
-    return (0 if verdict.passed else 1), info, None
+    return (0 if verdict.passed else 1), info
 
 
 def _cmd_gen(args, report):
@@ -291,7 +285,7 @@ def _cmd_gen(args, report):
     info = [f"generated order on {spec.n} elements (density {spec.density}, seed {spec.seed})"]
     default_fmt = format_for_path(args.output) if args.output else "csv"
     _emit_result(args, relation, default_fmt, info, report)
-    return 0, info, relation
+    return 0, info
 
 
 _HANDLERS = {
@@ -313,10 +307,18 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    fields: dict = {"verdicts": {}, "witnesses": None, "trace": None, "family": None}
+    # One report: handlers fill it in, and --json prints it as it stands.
+    report = {
+        "command": list(argv),
+        "verdicts": {},
+        "witnesses": None,
+        "trace": None,
+        "family": None,
+        "timing": 0.0,
+    }
     started = time.perf_counter()
     try:
-        code, info, _ = _HANDLERS[args.command](args, fields)
+        code, info = _HANDLERS[args.command](args, report)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -327,23 +329,12 @@ def run_command(argv: list[str]) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
-    elapsed = time.perf_counter() - started
+    report["timing"] = time.perf_counter() - started
 
-    report = RunReport(
-        command=list(argv),
-        verdicts=fields.get("verdicts", {}),
-        witnesses=fields.get("witnesses"),
-        trace=fields.get("trace"),
-        family=fields.get("family"),
-        timing=elapsed,
-    )
     if args.json:
-        payload = report.to_dict()
-        if "output" in fields:
-            payload["output"] = fields["output"]
-        print(json.dumps(payload))
+        print(json.dumps(report))
     else:
-        document = fields.get("output")
+        document = report.get("output")
         if document is not None:
             sys.stdout.write(document)
         stream = sys.stderr if document is not None else sys.stdout

@@ -23,6 +23,7 @@ from .relation import (
     ElementLike,
     FuzzyRelation,
     PreconditionError,
+    _incomparable,
     _passes_order,
 )
 
@@ -79,7 +80,7 @@ def pivot_extend(r: FuzzyRelation, a: ElementLike, b: ElementLike) -> FuzzyRelat
     (``not-an-order`` / ``equal-pivots`` / ``r(b,a)>0``).
     """
     ia, ib = r.index_of(a), r.index_of(b)
-    if not _passes_order(r.grid):
+    if not _passes_order(r):
         raise PreconditionError("not-an-order", "pivot requires a valid fuzzy order")
     if ia == ib:
         raise PreconditionError("equal-pivots", "pivot elements must be distinct")
@@ -92,23 +93,26 @@ def pivot_extend(r: FuzzyRelation, a: ElementLike, b: ElementLike) -> FuzzyRelat
     return FuzzyRelation(r.labels, _pivot_grid(r.grid, ia, ib))
 
 
-def _first_incomparable(grid: np.ndarray) -> tuple[int, int] | None:
-    zero = np.triu((grid == 0.0) & (grid.T == 0.0), k=1)
-    hits = np.argwhere(zero)
-    if len(hits) == 0:
-        return None
-    i, j = hits[0]
-    return int(i), int(j)
+def _pivot_steps(grid: np.ndarray, orient=lambda i, j: (i, j)):
+    # The pivot loop on an order's grid, unchecked: at the row-major first
+    # incomparable pair (i, j), pivot orient(i, j) and rescan.  Yields
+    # (a, b, grid before, grid after) per pivot.
+    n = len(grid)
+    while True:
+        zero = _incomparable(grid)
+        if not zero.any():
+            return
+        ia, ib = orient(*divmod(int(zero.argmax()), n))
+        new = _pivot_grid(grid, ia, ib)
+        yield ia, ib, grid, new
+        grid = new
 
 
-def _orient(i: int, j: int, labels: tuple[str, ...], policy, overrides) -> tuple[int, int]:
-    if overrides is not None:
-        if (labels[j], labels[i]) in overrides:
-            return j, i
-        return i, j
-    if policy == "high":
-        return j, i
-    return i, j
+def _linear_grid(grid: np.ndarray) -> np.ndarray:
+    # The "low"-policy linear extension of an order's grid, unchecked, untraced.
+    for _, _, _, grid in _pivot_steps(grid):
+        pass
+    return grid
 
 
 def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationResult:
@@ -126,32 +130,30 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
 
     Equal inputs produce identical traces and outputs.
     """
-    overrides = None
+    labels = r.labels
     if not isinstance(policy, str):
         overrides = {(str(x), str(y)) for x, y in policy}
-    elif policy not in ("low", "high"):
+        orient = lambda i, j: (j, i) if (labels[j], labels[i]) in overrides else (i, j)
+    elif policy == "high":
+        orient = lambda i, j: (j, i)
+    elif policy == "low":
+        orient = lambda i, j: (i, j)
+    else:
         raise ValueError(f"unknown pivot policy {policy!r}")
 
-    if not _passes_order(r.grid):
+    if not _passes_order(r):
         raise PreconditionError("not-an-order", "linearize requires a valid fuzzy order")
 
     m = count_incomparable_entries(r)
-    grid = np.array(r.grid)
-    labels = r.labels
     elems = r.elements
     trace: list[PivotStep] = []
-    while True:
-        pair = _first_incomparable(grid)
-        if pair is None:
-            break
-        ia, ib = _orient(pair[0], pair[1], labels, policy, overrides)
-        new = _pivot_grid(grid, ia, ib)
+    grid = r.grid  # stays the input when no pivot is needed
+    for ia, ib, old, grid in _pivot_steps(r.grid, orient):
         raised = tuple(
-            ((labels[x], labels[y]), float(grid[x, y]), float(new[x, y]))
-            for x, y in np.argwhere(new > grid)
+            ((labels[x], labels[y]), float(old[x, y]), float(grid[x, y]))
+            for x, y in np.argwhere(grid > old)
         )
         trace.append(PivotStep(elems[ia], elems[ib], len(trace) + 1, raised))
-        grid = new
     return LinearizationResult(FuzzyRelation(labels, grid), tuple(trace), len(trace), m)
 
 
@@ -160,6 +162,4 @@ def count_incomparable_entries(r: FuzzyRelation) -> int:
 
     Always even; at most n(n-1).
     """
-    zero = (r.grid == 0.0) & (r.grid.T == 0.0)
-    np.fill_diagonal(zero, False)
-    return int(zero.sum())
+    return 2 * int(_incomparable(r.grid).sum())

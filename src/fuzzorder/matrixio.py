@@ -139,7 +139,10 @@ def _parse_json(text: str) -> FuzzyRelation:
         for j, cell in enumerate(row, start=1):
             if isinstance(cell, bool) or not isinstance(cell, (int, float)):
                 raise ParseError(f"malformed number {cell!r}", i, j)
-            value = float(cell)
+            try:
+                value = float(cell)
+            except OverflowError:  # an integer literal beyond any float
+                raise ParseError("integer too large, outside [0, 1]", i, j) from None
             if not math.isfinite(value):
                 raise ParseError(f"malformed number {cell!r}", i, j)
             if not 0.0 <= value <= 1.0:

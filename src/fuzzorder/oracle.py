@@ -16,13 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .preserving import certifying_family, verify_intersection
 from .relation import FuzzyRelation
 
 __all__ = [
     "GeneratorSpec",
     "brute_check_order",
-    "inf_reconstruction_probe",
     "random_zadeh_order",
 ]
 
@@ -123,22 +121,3 @@ def random_zadeh_order(spec: GeneratorSpec) -> FuzzyRelation:
     np.fill_diagonal(grid, 1.0)
     labels = tuple(f"x{i + 1}" for i in range(n))
     return FuzzyRelation(labels, grid)
-
-
-def inf_reconstruction_probe(r: FuzzyRelation) -> bool:
-    """End-to-end check that the certifying family's infimum rebuilds r.
-
-    Runs the family construction and the packaged verification, then folds
-    the entrywise minimum a second time with plain loops; passes only when
-    both folds agree and equal r bit-exactly.
-    """
-    family = certifying_family(r)
-    verdict = verify_intersection(r, family)
-
-    mats = [member.relation.tolists() for member in family.members]
-    n = r.n
-    second = [
-        [min(mat[i][j] for mat in mats) for j in range(n)]
-        for i in range(n)
-    ]
-    return bool(verdict) and second == r.tolists()

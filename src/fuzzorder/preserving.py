@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extension import linearize, pivot_extend
+from .extension import _linear_grid, _pivot_grid
 from .relation import (
     CarrierMismatchError,
     ElementLike,
@@ -28,8 +28,8 @@ from .relation import (
     Pair,
     PreconditionError,
     Verdict,
+    _incomparable,
     _passes_order,
-    incomparable_pairs,
     pointwise_inf,
 )
 
@@ -39,7 +39,6 @@ __all__ = [
     "FamilyMember",
     "certifying_family",
     "clamp_extend",
-    "drop_preserving_members",
     "verify_intersection",
 ]
 
@@ -97,13 +96,13 @@ class ExtensionFamily:
 def clamp_extend(r: FuzzyRelation, a: ElementLike, b: ElementLike) -> ClampResult:
     """Build a linear extension s of r with s(a, b) = r(a, b) exactly.
 
-    Requires r to pass the order axioms and r(a, b) > 0.  If r is already
-    linear it is its own preserving extension; if the deterministic
-    linearization already leaves (a, b) untouched it is used as-is;
-    otherwise the clamp formula caps it at beta = r(a, b).
+    Requires r to pass the order axioms and r(a, b) > 0.  If the
+    deterministic linearization already keeps (a, b) at r(a, b), as it does
+    for a linear r, it is used as-is; otherwise the clamp formula caps it at
+    beta = r(a, b).
     """
     ia, ib = r.index_of(a), r.index_of(b)
-    if not _passes_order(r.grid):
+    if not _passes_order(r):
         raise PreconditionError("not-an-order", "clamp requires a valid fuzzy order")
     beta = float(r.grid[ia, ib])
     if beta == 0.0:
@@ -111,14 +110,17 @@ def clamp_extend(r: FuzzyRelation, a: ElementLike, b: ElementLike) -> ClampResul
             "r(a,b)=0",
             f"cannot preserve the grade of ({r.labels[ia]!r}, {r.labels[ib]!r}): it is 0",
         )
-    pair = Pair(r.element(ia), r.element(ib))
-    if not incomparable_pairs(r):
-        return ClampResult(r, beta, r, pair)
-    base = linearize(r).relation
-    if float(base.grid[ia, ib]) == beta:
-        return ClampResult(base, beta, base, pair)
+    base = FuzzyRelation(r.labels, _linear_grid(r.grid))
+    return ClampResult(_clamp(r, base, ia, ib), beta, base, Pair(r.element(ia), r.element(ib)))
+
+
+def _clamp(r: FuzzyRelation, base: FuzzyRelation, ia: int, ib: int) -> FuzzyRelation:
+    # The clamp formula on a linear extension of r, unchecked.
+    beta = r.grid[ia, ib]
+    if base.grid[ia, ib] == beta:
+        return base
     s = np.where(r.grid > beta, base.grid, np.minimum(beta, base.grid))
-    return ClampResult(FuzzyRelation(r.labels, s), beta, base, pair)
+    return FuzzyRelation(r.labels, s)
 
 
 def _positive_off_diagonal(r: FuzzyRelation) -> list[tuple[int, int]]:
@@ -136,24 +138,24 @@ def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
     clamp member preserving that grade.  A linear r certifies itself and
     yields the singleton family {r}.
     """
-    if not _passes_order(r.grid):
+    if not _passes_order(r):
         raise PreconditionError("not-an-order", "certifying family requires a valid fuzzy order")
 
+    labels = r.labels
     positives = _positive_off_diagonal(r)
-    incomparables = incomparable_pairs(r)
-    if not incomparables:
-        tags = tuple(f"preserves({r.labels[i]},{r.labels[j]})" for i, j in positives)
+    incomparables = np.argwhere(_incomparable(r.grid))
+    if not len(incomparables):
+        tags = tuple(f"preserves({labels[i]},{labels[j]})" for i, j in positives)
         return ExtensionFamily((FamilyMember(r, tags),))
 
     ordered: list[tuple[FuzzyRelation, str]] = []
-    for a, b in incomparables:
-        s1 = linearize(pivot_extend(r, a, b)).relation
-        ordered.append((s1, f"orients({a.label},{b.label})"))
-        s2 = linearize(pivot_extend(r, b, a)).relation
-        ordered.append((s2, f"orients({b.label},{a.label})"))
+    for i, j in incomparables:
+        for a, b in ((i, j), (j, i)):
+            s = FuzzyRelation(labels, _linear_grid(_pivot_grid(r.grid, a, b)))
+            ordered.append((s, f"orients({labels[a]},{labels[b]})"))
+    base = FuzzyRelation(labels, _linear_grid(r.grid))
     for i, j in positives:
-        s = clamp_extend(r, i, j).relation
-        ordered.append((s, f"preserves({r.labels[i]},{r.labels[j]})"))
+        ordered.append((_clamp(r, base, i, j), f"preserves({labels[i]},{labels[j]})"))
 
     merged: dict[FuzzyRelation, list[str]] = {}
     for rel, tag in ordered:
@@ -189,20 +191,3 @@ def verify_intersection(r: FuzzyRelation, family) -> Verdict:
         for i, j in np.argwhere(inf.grid != r.grid)
     )
     return Verdict(not witnesses, witnesses)
-
-
-def drop_preserving_members(
-    family: ExtensionFamily, a: ElementLike, b: ElementLike, value: float
-) -> ExtensionFamily:
-    """Remove every member whose grade at (a, b) equals ``value`` exactly.
-
-    Used to demonstrate that the value-preserving members are necessary:
-    without them the infimum at (a, b) rises strictly above the original
-    grade, because every surviving extension exceeds it there.
-    """
-    kept = []
-    for member in family.members:
-        rel = member.relation
-        if float(rel.grid[rel.index_of(a), rel.index_of(b)]) != value:
-            kept.append(member)
-    return ExtensionFamily(tuple(kept))

@@ -210,15 +210,42 @@ class FuzzyRelation:
 # -------------------------------------------------------------------------
 
 
+def _reflexivity_witnesses(r: FuzzyRelation):
+    diag = np.diagonal(r.grid)
+    for i in np.flatnonzero(diag != 1.0):
+        yield r.labels[i], float(diag[i])
+
+
+def _antisymmetry_witnesses(r: FuzzyRelation):
+    pos = r.grid > 0.0
+    for i, j in np.argwhere(np.triu(pos & pos.T, k=1)):
+        yield (r.labels[i], r.labels[j]), float(r.grid[i, j]), float(r.grid[j, i])
+
+
+def _transitivity_witnesses(r: FuzzyRelation):
+    g = r.grid
+    for x in range(r.n):
+        via = np.minimum(g[x][:, None], g)  # [y, z] = min(r(x,y), r(y,z))
+        bad = via > g[x][None, :]
+        if bad.any():  # argwhere on every row would dominate on valid orders
+            for y, z in np.argwhere(bad):
+                yield (r.labels[x], r.labels[y], r.labels[z]), float(g[x, z]), float(via[y, z])
+
+
+_AXIOMS = (_reflexivity_witnesses, _antisymmetry_witnesses, _transitivity_witnesses)
+
+
+def _verdict(witnesses) -> Verdict:
+    witnesses = tuple(witnesses)
+    return Verdict(not witnesses, witnesses)
+
+
 def is_reflexive(r: FuzzyRelation) -> Verdict:
     """Every element must be fully related to itself (diagonal exactly 1).
 
     Witnesses are ``(label, value)`` pairs for each diagonal entry below 1.
     """
-    diag = np.diagonal(r.grid)
-    bad = np.flatnonzero(diag != 1.0)
-    witnesses = tuple((r.labels[i], float(diag[i])) for i in bad)
-    return Verdict(not witnesses, witnesses)
+    return _verdict(_reflexivity_witnesses(r))
 
 
 def is_antisymmetric(r: FuzzyRelation) -> Verdict:
@@ -227,13 +254,7 @@ def is_antisymmetric(r: FuzzyRelation) -> Verdict:
     Witnesses are ``((x, y), r(x,y), r(y,x))`` per unordered pair, x before y
     in carrier order, with both directions strictly positive.
     """
-    pos = r.grid > 0.0
-    both = np.triu(pos & pos.T, k=1)
-    witnesses = tuple(
-        ((r.labels[i], r.labels[j]), float(r.grid[i, j]), float(r.grid[j, i]))
-        for i, j in np.argwhere(both)
-    )
-    return Verdict(not witnesses, witnesses)
+    return _verdict(_antisymmetry_witnesses(r))
 
 
 def is_transitive(r: FuzzyRelation) -> Verdict:
@@ -243,15 +264,7 @@ def is_transitive(r: FuzzyRelation) -> Verdict:
     finite by construction.  Witnesses are ``((x, y, z), r(x,z), bound)``
     triples in row-major order, where bound = min(r(x,y), r(y,z)) > r(x,z).
     """
-    g = r.grid
-    witnesses = []
-    for x in range(r.n):
-        via = np.minimum(g[x][:, None], g)  # [y, z] = min(r(x,y), r(y,z))
-        for y, z in np.argwhere(via > g[x][None, :]):
-            witnesses.append(
-                ((r.labels[x], r.labels[y], r.labels[z]), float(g[x, z]), float(via[y, z]))
-            )
-    return Verdict(not witnesses, tuple(witnesses))
+    return _verdict(_transitivity_witnesses(r))
 
 
 def check_order(r: FuzzyRelation) -> AxiomReport:
@@ -269,19 +282,14 @@ def check_order(r: FuzzyRelation) -> AxiomReport:
     )
 
 
-def _passes_order(grid: np.ndarray) -> bool:
-    # Verdict-only fast path used by operation preconditions; no witnesses.
-    n = grid.shape[0]
-    if not (np.diagonal(grid) == 1.0).all():
-        return False
-    pos = grid > 0.0
-    if np.triu(pos & pos.T, k=1).any():
-        return False
-    for x in range(n):
-        bound = np.minimum(grid[x][:, None], grid).max(axis=0)
-        if (grid[x] < bound).any():
-            return False
-    return True
+def _passes_order(r: FuzzyRelation) -> bool:
+    # Verdict only, for operation preconditions: stops at the first witness.
+    return not any(next(axiom(r), None) for axiom in _AXIOMS)
+
+
+def _incomparable(grid: np.ndarray) -> np.ndarray:
+    # Unordered pairs i < j with grade zero in both directions.
+    return np.triu((grid == 0.0) & (grid.T == 0.0), k=1)
 
 
 def is_linear(r: FuzzyRelation) -> Verdict:
@@ -290,8 +298,7 @@ def is_linear(r: FuzzyRelation) -> Verdict:
     Witnesses are the incomparable pairs, as returned by
     :func:`incomparable_pairs`.
     """
-    witnesses = tuple(incomparable_pairs(r))
-    return Verdict(not witnesses, witnesses)
+    return _verdict(incomparable_pairs(r))
 
 
 def incomparable_pairs(r: FuzzyRelation) -> list[Pair]:
@@ -299,9 +306,8 @@ def incomparable_pairs(r: FuzzyRelation) -> list[Pair]:
 
     Pairs are canonicalized with the lower-indexed element first.
     """
-    zero = (r.grid == 0.0) & (r.grid.T == 0.0)
     elems = r.elements
-    return [Pair(elems[i], elems[j]) for i, j in np.argwhere(np.triu(zero, k=1))]
+    return [Pair(elems[i], elems[j]) for i, j in np.argwhere(_incomparable(r.grid))]
 
 
 def extends(lo: FuzzyRelation, hi: FuzzyRelation) -> bool:

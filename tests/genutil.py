@@ -1,10 +1,17 @@
-"""Deterministic corpora and corruption helpers shared by several suites."""
+"""Deterministic corpora, corruption and family helpers shared by several suites."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from fuzzorder import FuzzyRelation, GeneratorSpec, random_zadeh_order
+from fuzzorder import (
+    ExtensionFamily,
+    FuzzyRelation,
+    GeneratorSpec,
+    certifying_family,
+    random_zadeh_order,
+    verify_intersection,
+)
 
 CORPUS_DENSITIES = (0.0, 0.3, 0.5, 0.7, 1.0)
 
@@ -52,3 +59,36 @@ def corrupt(r: FuzzyRelation, rng: np.random.Generator) -> FuzzyRelation:
             i, j = zeros[int(rng.integers(0, len(zeros)))]
             g[i, j] = float(rng.choice([0.2, 0.6, 1.0]))
     return FuzzyRelation(r.labels, g)
+
+
+def drop_preserving_members(
+    family: ExtensionFamily, a: str, b: str, value: float
+) -> ExtensionFamily:
+    """Remove every member whose grade at (a, b) equals ``value`` exactly.
+
+    Used to demonstrate that the value-preserving members are necessary:
+    without them the infimum at (a, b) rises strictly above the original
+    grade, because every surviving extension exceeds it there.
+    """
+    return ExtensionFamily(
+        tuple(m for m in family.members if m.relation.value(a, b) != value)
+    )
+
+
+def inf_reconstruction_probe(r: FuzzyRelation) -> bool:
+    """End-to-end check that the certifying family's infimum rebuilds r.
+
+    Runs the family construction and the packaged verification, then folds
+    the entrywise minimum a second time with plain loops; passes only when
+    both folds agree and equal r bit-exactly.
+    """
+    family = certifying_family(r)
+    verdict = verify_intersection(r, family)
+
+    mats = [member.relation.tolists() for member in family.members]
+    n = r.n
+    second = [
+        [min(mat[i][j] for mat in mats) for j in range(n)]
+        for i in range(n)
+    ]
+    return bool(verdict) and second == r.tolists()

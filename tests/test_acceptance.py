@@ -21,10 +21,8 @@ from fuzzorder import (
     certifying_family,
     check_order,
     clamp_extend,
-    drop_preserving_members,
     emit_matrix,
     extends,
-    inf_reconstruction_probe,
     is_linear,
     linearize,
     parse_matrix,
@@ -44,7 +42,7 @@ from conftest import (
     ORDER7_LABELS,
     ORDER7_LINEAR_GRID,
 )
-from genutil import corpus, corrupt
+from genutil import corpus, corrupt, drop_preserving_members, inf_reconstruction_probe
 
 CORPUS_SIZE = 1000
 

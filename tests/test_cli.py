@@ -1,6 +1,7 @@
 """Exit-code contract and report schema for the command-line surface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +141,31 @@ def test_verify_empty_family_dir_exits_two(tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()
     assert run_command(["verify", ORDER7, "--family", str(empty)]) == 2
+
+
+def _family_dir(tmp_path, manifest, name="fam"):
+    fam_dir = tmp_path / name
+    fam_dir.mkdir()
+    (fam_dir / "family.json").write_text(json.dumps(manifest), encoding="utf-8")
+    return str(fam_dir)
+
+
+@pytest.mark.parametrize(
+    "manifest, named",
+    [([1, 2], '"members" list'), ({"members": [{"file": 7}]}, "member 1")],
+)
+def test_verify_malformed_manifest_exits_two(tmp_path, capsys, manifest, named):
+    assert run_command(["verify", ORDER3, "--family", _family_dir(tmp_path, manifest)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_verify_manifest_entry_outside_directory_exits_two(tmp_path, capsys):
+    # x.csv is the order itself, so reading it would make the family verify.
+    (tmp_path / "x.csv").write_text(Path(ORDER3).read_text(encoding="utf-8"), encoding="utf-8")
+    for k, name in enumerate(["../x.csv", str(tmp_path / "x.csv")]):
+        fam_dir = _family_dir(tmp_path, {"members": [{"file": name}]}, f"fam{k}")
+        assert run_command(["verify", ORDER3, "--family", fam_dir]) == 2
+        assert "outside" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- gen

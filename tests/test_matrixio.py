@@ -105,6 +105,12 @@ def test_parse_json_errors():
         parse_matrix('{"elements": ["a", "b"], "matrix": [[1, 0]]}')
 
 
+def test_parse_json_integer_beyond_float_range_positioned():
+    huge = "1" * 400
+    with pytest.raises(ParseError, match=r"outside \[0, 1\] \(row 1, column 2\)"):
+        parse_matrix('{"elements": ["a", "b"], "matrix": [[1, ' + huge + '], [0, 1]]}')
+
+
 def test_format_detection():
     a = parse_matrix(",a\na,1\n")
     b = parse_matrix('  {"elements": ["a"], "matrix": [[1]]}')

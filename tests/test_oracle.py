@@ -8,13 +8,12 @@ from fuzzorder import (
     GeneratorSpec,
     brute_check_order,
     check_order,
-    inf_reconstruction_probe,
     is_linear,
     random_zadeh_order,
 )
 
 from conftest import identity_relation
-from genutil import corpus, corrupt
+from genutil import corpus, corrupt, inf_reconstruction_probe
 
 
 # ---------------------------------------------------------------- brute

@@ -11,12 +11,15 @@ from fuzzorder import (
     certifying_family,
     check_order,
     clamp_extend,
-    drop_preserving_members,
     extends,
     is_linear,
+    linearize,
+    pivot_extend,
     pointwise_inf,
     verify_intersection,
 )
+
+from genutil import corpus, drop_preserving_members
 
 # Frozen from an entrywise evaluation of the clamp formula against the two
 # 7-element golden matrices (beta = 0.55, base = the pinned linearization).
@@ -166,6 +169,20 @@ def test_family_preserves_every_positive_grade(order7):
                 tag = f"preserves({order7.labels[i]},{order7.labels[j]})"
                 hits = [m.relation for m in family.members if tag in m.tags]
                 assert hits and hits[0].grid[i, j] == order7.grid[i, j]
+
+
+def test_family_members_match_the_public_constructions(order3, order7):
+    """Each tag names the pivot or clamp that, through the public API, builds its member."""
+    for r in [order3, order7] + corpus(120, max_n=6):
+        for member in certifying_family(r).members:
+            for tag in member.tags:
+                kind, pair = tag[:-1].split("(")
+                a, b = pair.split(",")
+                if kind == "orients":
+                    expected = linearize(pivot_extend(r, a, b)).relation
+                else:
+                    expected = clamp_extend(r, a, b).relation
+                assert member.relation == expected, (r.tolists(), tag)
 
 
 def test_family_propagates_not_an_order():

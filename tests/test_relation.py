@@ -7,6 +7,8 @@ from fuzzorder import (
     CarrierMismatchError,
     EmptyFamilyError,
     FuzzyRelation,
+    PreconditionError,
+    brute_check_order,
     check_order,
     extends,
     incomparable_pairs,
@@ -14,10 +16,12 @@ from fuzzorder import (
     is_linear,
     is_reflexive,
     is_transitive,
+    linearize,
     pointwise_inf,
 )
 
 from conftest import identity_relation
+from genutil import corpus, corrupt
 
 
 # ---------------------------------------------------------------- model
@@ -163,6 +167,23 @@ def test_order_implies_unit_diagonal_and_one_direction(order7):
 
 
 # ---------------------------------------------------------------- linearity
+
+
+def test_linearize_rejects_exactly_the_oracle_non_orders():
+    """The verdict-only order check behind linearize agrees with the brute oracle."""
+    rng = np.random.default_rng(2024)
+    rejected = 0
+    for r in corpus(400):
+        damaged = corrupt(r, rng)
+        try:
+            linearize(damaged)
+            raised = False
+        except PreconditionError as exc:
+            assert exc.reason == "not-an-order"
+            raised = True
+        assert raised == (not brute_check_order(damaged)), damaged.tolists()
+        rejected += raised
+    assert 0 < rejected < 400
 
 
 def test_linear_on_linearized_sample(order3_linear):
