@@ -232,7 +232,10 @@ def _cmd_family(args, report):
 
 
 def _manifest_paths(directory: Path, manifest: Path) -> list[Path]:
-    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ParseError(f"{manifest}: arrays or objects nested too deeply") from None
     listed = doc.get("members") if isinstance(doc, dict) else None
     if not isinstance(listed, list):
         raise ParseError(f'{manifest}: expected an object with a "members" list')

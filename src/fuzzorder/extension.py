@@ -9,6 +9,12 @@ It preserves all three order axioms, never lowers an entry, and forces
 r'(a, b) = 1 while keeping r'(b, a) = 0.  Repeating it until no incomparable
 pair remains yields a linear extension in at most m/2 steps, where m counts
 the ordered incomparable entries of the input.
+
+The linearization loop makes one cursor pass over the input's incomparable
+pairs in row-major order, pivoting at each pair still incomparable when the
+cursor reaches it; this meets the pairs in the order a rescan from the start
+after every pivot would.  Each pivot reads and writes only the rows x with
+r(x, a) > 0 and the columns y with r(b, y) > 0, the only entries it can raise.
 """
 
 from __future__ import annotations
@@ -93,35 +99,42 @@ def pivot_extend(r: FuzzyRelation, a: ElementLike, b: ElementLike) -> FuzzyRelat
     return FuzzyRelation(r.labels, _pivot_grid(r.grid, ia, ib))
 
 
-def _pivot_steps(grid: np.ndarray, orient=lambda i, j: (i, j)):
-    # The pivot loop on an order's grid, unchecked: at the row-major first
-    # incomparable pair (i, j), pivot orient(i, j) and rescan.  Yields
-    # (a, b, grid before, grid after) per pivot.
-    n = len(grid)
-    while True:
-        zero = _incomparable(grid)
-        if not zero.any():
-            return
-        ia, ib = orient(*divmod(int(zero.argmax()), n))
-        new = _pivot_grid(grid, ia, ib)
-        yield ia, ib, grid, new
-        grid = new
+def _pivot_steps(g: np.ndarray, pairs, orient=lambda i, j: (i, j)):
+    # The linearization loop described above, unchecked, in place on the
+    # writable order grid g.  ``pairs`` = _incomparable(g).nonzero(): g's
+    # incomparable pairs in row-major order, as index arrays of i and of j.
+    # min(g[x, a], g[b, y]) is 0 outside the rows and columns taken below.
+    # Yields (a, b, rows, cols, block before, block after) per pivot.
+    first, second = pairs
+    for i, j in zip(first.tolist(), second.tolist()):
+        if g[i, j] or g[j, i]:
+            continue
+        ia, ib = orient(i, j)
+        rows, cols = g[:, ia].nonzero()[0], g[ib].nonzero()[0]
+        block = g[rows[:, None], cols]
+        new = np.minimum.outer(g[rows, ia], g[ib, cols])
+        np.maximum(new, block, out=new)
+        g[rows[:, None], cols] = new
+        yield ia, ib, rows, cols, block, new
 
 
 def _linear_grid(grid: np.ndarray) -> np.ndarray:
     # The "low"-policy linear extension of an order's grid, unchecked, untraced.
-    for _, _, _, grid in _pivot_steps(grid):
+    g = np.array(grid)
+    for _ in _pivot_steps(g, _incomparable(g).nonzero()):
         pass
-    return grid
+    return g
 
 
 def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationResult:
     """Extend an order to a linear one by repeated pivoting.
 
-    Scans unordered pairs (i, j), i < j, in row-major order; at the first
-    incomparable pair it pivots and rescans from the start (a pivot can make
-    later pairs comparable as a side effect).  The orientation of each pivot
-    is fixed by ``policy``:
+    Walks the input's incomparable unordered pairs (i, j), i < j, once in
+    row-major order and pivots at each one that is still incomparable (a
+    pivot can make later pairs comparable as a side effect); this is the
+    pair a rescan from the start would find.  Each pivot updates only the
+    block of entries it can raise.  The orientation of each pivot is fixed
+    by ``policy``:
 
     * ``"low"`` (default): the lower-indexed element goes on top.
     * ``"high"``: the higher-indexed element goes on top.
@@ -144,15 +157,19 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
     if not _passes_order(r):
         raise PreconditionError("not-an-order", "linearize requires a valid fuzzy order")
 
-    m = count_incomparable_entries(r)
+    grid = np.array(r.grid)
+    pairs = _incomparable(grid).nonzero()
+    m = 2 * len(pairs[0])
     elems = r.elements
+    names = np.array(labels, dtype=object)
     trace: list[PivotStep] = []
-    grid = r.grid  # stays the input when no pivot is needed
-    for ia, ib, old, grid in _pivot_steps(r.grid, orient):
-        raised = tuple(
-            ((labels[x], labels[y]), float(old[x, y]), float(grid[x, y]))
-            for x, y in np.argwhere(grid > old)
-        )
+    for ia, ib, rows, cols, old, new in _pivot_steps(grid, pairs, orient):
+        xs, ys = (new > old).nonzero()
+        raised = tuple(zip(
+            zip(names[rows[xs]].tolist(), names[cols[ys]].tolist()),
+            old[xs, ys].tolist(),
+            new[xs, ys].tolist(),
+        ))
         trace.append(PivotStep(elems[ia], elems[ib], len(trace) + 1, raised))
     return LinearizationResult(FuzzyRelation(labels, grid), tuple(trace), len(trace), m)
 

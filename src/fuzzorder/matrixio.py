@@ -47,9 +47,12 @@ class ParseError(FuzzyOrderError):
         self.col = col
 
 
+_BOM = "\ufeff"  # a UTF-8 byte order mark, as decoded text
+
+
 def detect_format(text: str) -> str:
     """Guess the document format: JSON if it starts like an object, else CSV."""
-    return "json" if text.lstrip()[:1] == "{" else "csv"
+    return "json" if text.removeprefix(_BOM).lstrip()[:1] == "{" else "csv"
 
 
 def _parse_value(cell: str, row: int, col: int) -> float:
@@ -72,13 +75,19 @@ def _build(labels, rows, positions) -> FuzzyRelation:
 
 
 def _parse_csv(text: str) -> FuzzyRelation:
-    lines = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        lines = list(reader)
+    except csv.Error as exc:  # e.g. a carriage return inside an unquoted cell
+        raise ParseError(f"malformed CSV: {exc}", reader.line_num) from None
     while lines and lines[-1] == []:
         lines.pop()
     if not lines:
         raise ParseError("empty matrix document", 1, 1)
 
     header = [cell.strip() for cell in lines[0]]
+    if not header:
+        raise ParseError("empty header row", 1, 1)
     if header[0] != "":
         raise ParseError("first header cell must be empty", 1, 1)
     labels = header[1:]
@@ -114,11 +123,36 @@ def _parse_csv(text: str) -> FuzzyRelation:
     return _build(labels, rows, (None, None))
 
 
+_BEYOND_FLOAT = 10**400
+
+
+def _json_int(literal: str) -> int:
+    try:
+        return int(literal)
+    except ValueError:  # too many digits for int(), so beyond every float too
+        return -_BEYOND_FLOAT if literal.startswith("-") else _BEYOND_FLOAT
+
+
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # int() refuses integer literals of more than 4300 digits.  Parse again
+        # with each such literal read as an integer just as far beyond every
+        # float, so the cell checks report it with its position.  (A parse_int
+        # hook on every parse would make parsing about three times slower.)
+        return json.loads(text, parse_int=_json_int)
+
+
 def _parse_json(text: str) -> FuzzyRelation:
     try:
-        doc = json.loads(text)
+        doc = _load_json(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict) or "elements" not in doc or "matrix" not in doc:
         raise ParseError('JSON document must be an object with "elements" and "matrix"')
     labels = doc["elements"]
@@ -155,9 +189,11 @@ def _parse_json(text: str) -> FuzzyRelation:
 def parse_matrix(text: str, fmt: str | None = None) -> FuzzyRelation:
     """Parse a CSV or JSON matrix document into a relation.
 
-    With ``fmt=None`` the format is detected from the text.  Raises
-    :class:`ParseError` with a position for malformed documents.
+    With ``fmt=None`` the format is detected from the text.  A leading UTF-8
+    byte order mark is ignored.  Raises :class:`ParseError` with a position
+    for malformed documents.
     """
+    text = text.removeprefix(_BOM)
     fmt = fmt or detect_format(text)
     if fmt == "csv":
         return _parse_csv(text)

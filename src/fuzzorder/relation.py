@@ -116,9 +116,10 @@ class FuzzyRelation:
     """An immutable fuzzy relation: ordered labels plus an n-by-n grade grid.
 
     Entry ``grid[i, j]`` is the grade of (labels[i], labels[j]).  Construction
-    validates the carrier (nonempty, distinct labels) and the grid (square,
-    finite, every entry in [0, 1]) and freezes both; operations never mutate
-    a relation, they build new ones.
+    validates the carrier (nonempty, distinct labels of valid UTF-8 text with
+    no leading or trailing whitespace, which CSV would not keep) and the grid
+    (square, finite, every entry in [0, 1]) and freezes both; operations never
+    mutate a relation, they build new ones.
     """
 
     labels: tuple[str, ...]
@@ -131,6 +132,14 @@ class FuzzyRelation:
         for lbl in labels:
             if not isinstance(lbl, str) or lbl == "":
                 raise ValueError(f"element labels must be nonempty strings, got {lbl!r}")
+            if lbl != lbl.strip():
+                raise ValueError(
+                    f"element labels must not start or end with whitespace, got {lbl!r}"
+                )
+            try:
+                lbl.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate, which no file can hold
+                raise ValueError(f"element labels must be valid UTF-8 text, got {lbl!r}") from None
         if len(set(labels)) != len(labels):
             raise ValueError("element labels must be pairwise distinct")
         grid = np.asarray(self.grid, dtype=np.float64)
@@ -223,13 +232,16 @@ def _antisymmetry_witnesses(r: FuzzyRelation):
 
 
 def _transitivity_witnesses(r: FuzzyRelation):
+    # Only the y with r(x, y) > 0 can bound r(x, z).  They stay in ascending
+    # order, so the witnesses keep their row-major order.
     g = r.grid
-    for x in range(r.n):
-        via = np.minimum(g[x][:, None], g)  # [y, z] = min(r(x,y), r(y,z))
-        bad = via > g[x][None, :]
+    for x, (row, ys) in enumerate(zip(g, g > 0.0)):
+        via = np.minimum(row[ys, None], g[ys])  # [k, z] = min(r(x, y_k), r(y_k, z))
+        bad = via > row
         if bad.any():  # argwhere on every row would dominate on valid orders
-            for y, z in np.argwhere(bad):
-                yield (r.labels[x], r.labels[y], r.labels[z]), float(g[x, z]), float(via[y, z])
+            ys = ys.nonzero()[0]
+            for k, z in np.argwhere(bad):
+                yield (r.labels[x], r.labels[ys[k]], r.labels[z]), float(row[z]), float(via[k, z])
 
 
 _AXIOMS = (_reflexivity_witnesses, _antisymmetry_witnesses, _transitivity_witnesses)

@@ -32,6 +32,51 @@ def corpus(count: int, max_n: int = 8, seed_base: int = 10_000) -> list[FuzzyRel
     return [random_zadeh_order(s) for s in corpus_specs(count, max_n, seed_base)]
 
 
+def block_sum(blocks: list[FuzzyRelation], ordinal: bool = False) -> FuzzyRelation:
+    """The disjoint (block-diagonal) or ordinal sum of orders, itself an order.
+
+    A disjoint sum leaves every pair from different blocks incomparable; an
+    ordinal sum puts every element of an earlier block fully below every
+    element of a later one.  Elements are labelled e1, e2, ...
+    """
+    n = sum(b.n for b in blocks)
+    grid = np.zeros((n, n))
+    start = 0
+    for b in blocks:
+        stop = start + b.n
+        grid[start:stop, start:stop] = b.grid
+        if ordinal:
+            grid[start:stop, stop:] = 1.0
+        start = stop
+    return FuzzyRelation(tuple(f"e{i + 1}" for i in range(n)), grid)
+
+
+def rescan_linearization(grid: np.ndarray, labels=None, orient=lambda i, j: (i, j)):
+    """Reference pivot loop: pivot on the whole grid, then rescan the whole mask.
+
+    At the row-major first incomparable pair (i, j) it pivots orient(i, j) on
+    the full grid and starts over.  Returns the final grid and, per pivot,
+    ``(a, b, raised)``: raised lists every strictly increased entry as
+    ``((labels[x], labels[y]), old, new)`` in row-major order (indices when
+    ``labels`` is None).
+    """
+    names = labels or range(len(grid))
+    grid = np.array(grid)
+    steps = []
+    while True:
+        zero = np.triu((grid == 0.0) & (grid.T == 0.0), k=1)
+        if not zero.any():
+            return grid, steps
+        a, b = orient(*divmod(int(zero.argmax()), len(grid)))
+        new = np.maximum(grid, np.minimum.outer(grid[:, a], grid[b, :]))
+        raised = tuple(
+            ((names[x], names[y]), float(grid[x, y]), float(new[x, y]))
+            for x, y in np.argwhere(new > grid)
+        )
+        steps.append((a, b, raised))
+        grid = new
+
+
 def corrupt(r: FuzzyRelation, rng: np.random.Generator) -> FuzzyRelation:
     """Damage one entry of a valid order so some axiom may break.
 

@@ -159,6 +159,14 @@ def test_verify_malformed_manifest_exits_two(tmp_path, capsys, manifest, named):
     assert named in capsys.readouterr().err
 
 
+def test_verify_deeply_nested_manifest_exits_two(tmp_path, capsys):
+    fam_dir = tmp_path / "fam"
+    fam_dir.mkdir()
+    (fam_dir / "family.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert run_command(["verify", ORDER3, "--family", str(fam_dir)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_verify_manifest_entry_outside_directory_exits_two(tmp_path, capsys):
     # x.csv is the order itself, so reading it would make the family verify.
     (tmp_path / "x.csv").write_text(Path(ORDER3).read_text(encoding="utf-8"), encoding="utf-8")

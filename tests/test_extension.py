@@ -5,6 +5,7 @@ import pytest
 
 from fuzzorder import (
     FuzzyRelation,
+    GeneratorSpec,
     PreconditionError,
     check_order,
     count_incomparable_entries,
@@ -12,15 +13,25 @@ from fuzzorder import (
     is_linear,
     linearize,
     pivot_extend,
+    random_zadeh_order,
 )
 
+from fuzzorder.extension import _linear_grid, _pivot_grid
+from fuzzorder.relation import _incomparable
+
 from conftest import (
+    ORDER3_GRID,
+    ORDER3_LABELS,
     ORDER3_LINEAR_GRID,
+    ORDER4_GRID,
+    ORDER4_LABELS,
     ORDER4_LINEAR_GRID,
+    ORDER7_GRID,
     ORDER7_LABELS,
     ORDER7_LINEAR_GRID,
     identity_relation,
 )
+from genutil import block_sum, corpus, rescan_linearization
 
 
 # ---------------------------------------------------------------- pivot
@@ -188,6 +199,62 @@ def test_every_pivot_reduces_incomparable_pairs(order7):
         assert now <= remaining - 2
         remaining = now
     assert remaining == 0
+
+
+# ------------------------------------------- cursor loop against the rescan
+
+
+def _policies(r):
+    # "low", "high", and an override list reversing every other "low" pivot
+    overrides = [(step.b.label, step.a.label) for step in linearize(r).trace[::2]]
+    flipped = set(overrides)
+    return [
+        ("low", lambda i, j: (i, j)),
+        ("high", lambda i, j: (j, i)),
+        (overrides, lambda i, j: (j, i) if (r.labels[j], r.labels[i]) in flipped else (i, j)),
+    ]
+
+
+def _assert_matches_rescan(r):
+    for policy, orient in _policies(r):
+        result = linearize(r, policy)
+        grid, steps = rescan_linearization(r.grid, r.labels, orient)
+        assert result.relation.grid.tobytes() == grid.tobytes()
+        assert [(s.a.index, s.b.index, s.entries_raised) for s in result.trace] == steps
+        assert [s.step_index for s in result.trace] == list(range(1, len(steps) + 1))
+        assert result.k == len(steps)
+        assert result.m == int(((r.grid == 0.0) & (r.grid.T == 0.0)).sum())  # unit diagonal
+
+
+GOLDENS = [(ORDER3_LABELS, ORDER3_GRID), (ORDER4_LABELS, ORDER4_GRID), (ORDER7_LABELS, ORDER7_GRID)]
+
+
+@pytest.mark.parametrize("labels, grid", GOLDENS)
+def test_linearize_matches_rescan_on_goldens(labels, grid):
+    _assert_matches_rescan(FuzzyRelation(labels, grid))
+
+
+def test_linearize_matches_rescan_on_corpus():
+    for r in corpus(300, max_n=12):
+        _assert_matches_rescan(r)
+
+
+@pytest.mark.parametrize("ordinal", [False, True])
+@pytest.mark.parametrize("sizes", [(5, 7), (12, 12, 12, 12), (12,) * 8])
+def test_linearize_matches_rescan_on_block_sums(sizes, ordinal):
+    densities = (0.2, 0.45, 0.7)
+    blocks = [
+        random_zadeh_order(GeneratorSpec(n=n, density=densities[k % 3], seed=500 + k))
+        for k, n in enumerate(sizes)
+    ]
+    _assert_matches_rescan(block_sum(blocks, ordinal))
+
+
+def test_linear_grid_matches_rescan_on_order7_orienting_grids(order7):
+    for i, j in np.argwhere(_incomparable(order7.grid)):
+        for a, b in ((i, j), (j, i)):
+            pre = _pivot_grid(order7.grid, a, b)
+            assert _linear_grid(pre).tobytes() == rescan_linearization(pre)[0].tobytes()
 
 
 # ---------------------------------------------------------------- counting

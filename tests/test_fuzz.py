@@ -1,0 +1,155 @@
+"""Property-based fuzzing of the input boundary: parsing and the CLI.
+
+Two robustness claims are checked on generated input:
+
+* ``parse_matrix`` turns any text into a relation or a :class:`ParseError`;
+* ``run_command`` returns 0, 1 or 2 and never raises, for command lines
+  drawn from the seven commands and their flags and for fuzzed input files.
+
+Example counts stay small so the suite stays quick; every run draws new
+examples, so coverage accumulates across runs.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from fuzzorder import FuzzyRelation, ParseError, emit_matrix, parse_matrix
+from fuzzorder.cli import run_command
+
+from conftest import ORDER3_GRID, ORDER3_LABELS, ORDER7_GRID, ORDER7_LABELS
+
+ORDER3 = FuzzyRelation(ORDER3_LABELS, ORDER3_GRID)
+ORDER7 = FuzzyRelation(ORDER7_LABELS, ORDER7_GRID)
+VALID_DOCS = [emit_matrix(r, fmt) for r in (ORDER3, ORDER7) for fmt in ("csv", "json")]
+
+# Characters that make up matrix documents, so that drawn text often gets
+# past the first structural checks and reaches the deeper ones.
+DOC_CHARS = ',\n\r "\t﻿abcx17{}[]:.-+e0123456789\\'
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(DOC_CHARS, max_size=4),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=12,
+)
+json_docs = st.builds(
+    lambda labels, matrix, extra: json.dumps({"elements": labels, "matrix": matrix, **extra}),
+    st.one_of(st.lists(st.text(DOC_CHARS, max_size=3), max_size=3), json_values),
+    st.one_of(
+        st.lists(
+            st.lists(st.one_of(st.sampled_from([0, 1, 0.5]), json_scalars), max_size=3),
+            max_size=3,
+        ),
+        json_values,
+    ),
+    st.dictionaries(st.text(max_size=3), json_values, max_size=2),
+)
+
+
+@st.composite
+def mutated_docs(draw):
+    """A valid document with one slice replaced by drawn text."""
+    doc = draw(st.sampled_from(VALID_DOCS))
+    start = draw(st.integers(0, len(doc)))
+    stop = draw(st.integers(start, min(len(doc), start + 8)))
+    return doc[:start] + draw(st.text(DOC_CHARS, max_size=8)) + doc[stop:]
+
+
+documents = st.one_of(
+    st.text(),
+    st.text(DOC_CHARS, max_size=80),
+    json_docs,
+    mutated_docs(),
+    st.sampled_from(VALID_DOCS + ['{"elements": ["\\ud800"], "matrix": [[1]]}']),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents)
+def test_parse_matrix_yields_relation_or_parse_error(text):
+    try:
+        relation = parse_matrix(text)
+    except ParseError:
+        return
+    assert isinstance(relation, FuzzyRelation)
+
+
+# -------------------------------------------------------------------- CLI
+
+COMMANDS = ("check", "linearize", "pivot", "clamp", "family", "verify", "gen")
+LABELS = ("a", "b", "c", "x1", "x4", "zz", "")
+
+
+def flag_tokens(path):
+    """One token group of a command line; ``path`` maps names into the test directory."""
+
+    def option(flags, values):
+        return st.tuples(st.sampled_from(flags), st.sampled_from(values)).map(list)
+
+    return st.one_of(
+        st.sampled_from([["--json"], ["--trace"], ["--help"]]),
+        option(["--policy"], ["low", "high", "sideways"]),
+        option(["--a", "--b"], LABELS),
+        option(["-o", "--output"], [path(p) for p in ("out.csv", "out.json", "out", "family")]),
+        option(["--format"], ["csv", "json", "xml"]),
+        option(["--family"], [path(p) for p in ("family", "out", "in.csv", "absent")]),
+        option(["--n"], ["0", "1", "3", "12", "13", "-2", "x"]),
+        option(["--density"], ["0", "0.5", "1", "1.5", "nan", "-1"]),
+        option(["--seed"], ["0", "7", "-1", "x"]),
+        st.sampled_from([[path(p)] for p in ("in.csv", "in.json", "absent.csv", "family")]),
+    )
+
+
+@st.composite
+def command_lines(draw, directory):
+    path = lambda name: str(directory / name)
+    argv = [draw(st.sampled_from(COMMANDS + ("help", "")))]
+    for group in draw(st.lists(flag_tokens(path), max_size=6)):
+        argv.extend(group)
+    return argv
+
+
+def manifests(directory):
+    """family.json texts; the absolute entry names a file outside the family directory."""
+    entries = ["member_000.csv", "../in.csv", str(directory / "in.csv"), "", "."]
+    return st.one_of(
+        st.builds(json.dumps, json_values),
+        st.builds(lambda f: json.dumps({"members": [{"file": f}]}), st.sampled_from(entries)),
+    )
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_run_command_exits_0_1_or_2_and_never_raises(tmp_path, data):
+    files = {
+        "in.csv": data.draw(documents),
+        "in.json": data.draw(documents),
+        "family/member_000.csv": data.draw(documents),
+        "family/family.json": data.draw(manifests(tmp_path)),
+    }
+    for name, text in files.items():
+        target = tmp_path / name
+        target.parent.mkdir(exist_ok=True)
+        target.write_text(text, encoding="utf-8", errors="surrogatepass")
+    argv = data.draw(command_lines(tmp_path))
+
+    # Strict UTF-8 streams, as a terminal or pipe would have.
+    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2))
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_command(argv)
+    assert code in (0, 1, 2)

@@ -26,6 +26,8 @@ from conftest import (
 )
 
 
+ORDER3_CSV = ",a,b,c\na,1,0,0.4\nb,0,1,0\nc,0,0,1\n"
+
 # ---------------------------------------------------------------- parsing
 
 
@@ -109,6 +111,46 @@ def test_parse_json_integer_beyond_float_range_positioned():
     huge = "1" * 400
     with pytest.raises(ParseError, match=r"outside \[0, 1\] \(row 1, column 2\)"):
         parse_matrix('{"elements": ["a", "b"], "matrix": [[1, ' + huge + '], [0, 1]]}')
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_parse_json_integer_beyond_int_conversion_limit_positioned(sign):
+    huge = sign + "1" * 5000  # more digits than int() converts
+    with pytest.raises(ParseError, match=r"outside \[0, 1\] \(row 2, column 1\)"):
+        parse_matrix('{"elements": ["a", "b"], "matrix": [[1, 0], [' + huge + ', 1]]}')
+
+
+@pytest.mark.parametrize("text", [
+    '{"elements": ["a"], "matrix": [[' + "1" * 5000 + "]]",  # then a syntax error
+    '{"elements": ["a"], "matrix": ' + "[" * 100_000 + "]" * 100_000 + "}",
+])
+def test_parse_json_hostile_documents_are_parse_errors(text):
+    with pytest.raises(ParseError, match="invalid JSON"):
+        parse_matrix(text)
+
+
+@pytest.mark.parametrize("label, reason", [(" a", "whitespace"), ("\\ud800", "UTF-8")])
+def test_parse_json_rejects_labels_that_cannot_round_trip(label, reason):
+    with pytest.raises(ParseError, match=reason):
+        parse_matrix('{"elements": ["' + label + '", "b"], "matrix": [[1, 0], [0, 1]]}')
+
+
+@pytest.mark.parametrize("text, where", [
+    ("\n,a\na,1\n", r"empty header row \(row 1, column 1\)"),
+    (",a\na,\r1\n", r"malformed CSV: .* \(row 2\)"),
+])
+def test_parse_csv_structure_errors_positioned(text, where):
+    with pytest.raises(ParseError, match=where):
+        parse_matrix(text)
+
+
+@pytest.mark.parametrize("doc", [ORDER3_CSV, '{"elements": ["a"], "matrix": [[1]]}'])
+def test_leading_byte_order_mark_is_ignored(doc, tmp_path):
+    plain = parse_matrix(doc)
+    assert parse_matrix("\ufeff" + doc) == plain
+    path = tmp_path / "bom.txt"
+    path.write_text(doc, encoding="utf-8-sig")
+    assert load_matrix(path)[0] == plain
 
 
 def test_format_detection():

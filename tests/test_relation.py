@@ -58,6 +58,19 @@ def test_construction_rejects_bad_labels():
         FuzzyRelation(("a", ""), [[1, 0], [0, 1]])
 
 
+@pytest.mark.parametrize("label", [" a", "a ", "\ta", "a\n", "\u00a0a"])
+def test_construction_rejects_labels_with_outer_whitespace(label):
+    # CSV strips cells, so such a label would not survive a round trip.
+    with pytest.raises(ValueError, match="whitespace"):
+        FuzzyRelation((label, "b"), [[1, 0], [0, 1]])
+    FuzzyRelation(("a b", "b"), [[1, 0], [0, 1]])  # inner whitespace is kept
+
+
+def test_construction_rejects_labels_not_encodable_as_utf8():
+    with pytest.raises(ValueError, match="UTF-8"):
+        FuzzyRelation(("a\ud800", "b"), [[1, 0], [0, 1]])
+
+
 def test_grid_is_immutable(order3):
     with pytest.raises(ValueError):
         order3.grid[0, 0] = 0.5
