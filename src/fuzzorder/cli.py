@@ -22,6 +22,8 @@ from pathlib import Path
 from .extension import linearize, pivot_extend
 from .matrixio import (
     ParseError,
+    _read_json,
+    _read_text,
     _value_text,
     emit_matrix,
     format_for_path,
@@ -232,10 +234,7 @@ def _cmd_family(args, report):
 
 
 def _manifest_paths(directory: Path, manifest: Path) -> list[Path]:
-    try:
-        doc = json.loads(manifest.read_text(encoding="utf-8"))
-    except RecursionError:
-        raise ParseError(f"{manifest}: arrays or objects nested too deeply") from None
+    doc = _read_json(_read_text(manifest), f"{manifest}: ")
     listed = doc.get("members") if isinstance(doc, dict) else None
     if not isinstance(listed, list):
         raise ParseError(f'{manifest}: expected an object with a "members" list')

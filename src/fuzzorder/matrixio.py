@@ -15,10 +15,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from pathlib import Path
 
-from .relation import FuzzyOrderError, FuzzyRelation
+from .relation import FuzzyOrderError, FuzzyRelation, _label_error
 
 __all__ = [
     "ParseError",
@@ -55,23 +54,24 @@ def detect_format(text: str) -> str:
     return "json" if text.removeprefix(_BOM).lstrip()[:1] == "{" else "csv"
 
 
-def _parse_value(cell: str, row: int, col: int) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise ParseError(f"malformed number {cell!r}", row, col) from None
-    if not math.isfinite(value):
-        raise ParseError(f"malformed number {cell!r}", row, col)
-    if not 0.0 <= value <= 1.0:
-        raise ParseError(f"value {cell} outside [0, 1]", row, col)
+def _grade(value: float, text: str, row: int, col: int) -> float:
+    if not 0.0 <= value <= 1.0:  # also false for NaN
+        raise ParseError(f"value {text} outside [0, 1]", row, col)
     return value
 
 
-def _build(labels, rows, positions) -> FuzzyRelation:
+def _read_json(text: str, name: str = ""):
+    """Decode JSON text, reading integer literals of any length as floats.
+
+    Syntax errors become a :class:`ParseError` at their (line, column);
+    ``name`` prefixes every message.
+    """
     try:
-        return FuzzyRelation(tuple(labels), rows)
-    except ValueError as exc:
-        raise ParseError(str(exc), *positions) from None
+        return json.loads(text, parse_int=float)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{name}invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise ParseError(f"{name}invalid JSON: arrays or objects nested too deeply") from None
 
 
 def _parse_csv(text: str) -> FuzzyRelation:
@@ -93,11 +93,9 @@ def _parse_csv(text: str) -> FuzzyRelation:
     labels = header[1:]
     if not labels:
         raise ParseError("no element labels in header", 1, 2)
-    for j, lbl in enumerate(labels):
-        if lbl == "":
-            raise ParseError("empty element label", 1, j + 2)
-    if len(set(labels)) != len(labels):
-        raise ParseError("duplicate element labels in header", 1, 2)
+    error = _label_error(labels)
+    if error is not None:
+        raise ParseError(error[1], 1, error[0] + 2)
 
     n = len(labels)
     if len(lines) - 1 != n:
@@ -119,46 +117,28 @@ def _parse_csv(text: str) -> FuzzyRelation:
                 i,
                 1,
             )
-        rows.append([_parse_value(cell, i, j + 2) for j, cell in enumerate(cells[1:])])
-    return _build(labels, rows, (None, None))
-
-
-_BEYOND_FLOAT = 10**400
-
-
-def _json_int(literal: str) -> int:
-    try:
-        return int(literal)
-    except ValueError:  # too many digits for int(), so beyond every float too
-        return -_BEYOND_FLOAT if literal.startswith("-") else _BEYOND_FLOAT
-
-
-def _load_json(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        raise
-    except ValueError:
-        # int() refuses integer literals of more than 4300 digits.  Parse again
-        # with each such literal read as an integer just as far beyond every
-        # float, so the cell checks report it with its position.  (A parse_int
-        # hook on every parse would make parsing about three times slower.)
-        return json.loads(text, parse_int=_json_int)
+        row = []
+        for j, cell in enumerate(cells[1:], start=2):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(f"malformed number {cell!r}", i, j) from None
+            row.append(_grade(value, cell, i, j))
+        rows.append(row)
+    return FuzzyRelation(tuple(labels), rows)
 
 
 def _parse_json(text: str) -> FuzzyRelation:
-    try:
-        doc = _load_json(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
-    except RecursionError:
-        raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
+    doc = _read_json(text)
     if not isinstance(doc, dict) or "elements" not in doc or "matrix" not in doc:
         raise ParseError('JSON document must be an object with "elements" and "matrix"')
     labels = doc["elements"]
     matrix = doc["matrix"]
-    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-        raise ParseError('"elements" must be an array of strings')
+    if not isinstance(labels, list) or not labels:
+        raise ParseError('"elements" must be a nonempty array of strings')
+    error = _label_error(labels)
+    if error is not None:
+        raise ParseError(f'"elements" entry {error[0] + 1}: {error[1]}')
     if not isinstance(matrix, list):
         raise ParseError('"matrix" must be an array of rows')
     n = len(labels)
@@ -171,19 +151,11 @@ def _parse_json(text: str) -> FuzzyRelation:
             raise ParseError(f"matrix row {i} must have {n} entries", i, 1)
         parsed = []
         for j, cell in enumerate(row, start=1):
-            if isinstance(cell, bool) or not isinstance(cell, (int, float)):
+            if not isinstance(cell, float):  # every JSON number is read as a float
                 raise ParseError(f"malformed number {cell!r}", i, j)
-            try:
-                value = float(cell)
-            except OverflowError:  # an integer literal beyond any float
-                raise ParseError("integer too large, outside [0, 1]", i, j) from None
-            if not math.isfinite(value):
-                raise ParseError(f"malformed number {cell!r}", i, j)
-            if not 0.0 <= value <= 1.0:
-                raise ParseError(f"value {cell!r} outside [0, 1]", i, j)
-            parsed.append(value)
+            parsed.append(_grade(cell, repr(cell), i, j))
         rows.append(parsed)
-    return _build(labels, rows, (None, None))
+    return FuzzyRelation(tuple(labels), rows)
 
 
 def parse_matrix(text: str, fmt: str | None = None) -> FuzzyRelation:
@@ -232,9 +204,19 @@ def format_for_path(path) -> str:
     return "json" if str(path).lower().endswith(".json") else "csv"
 
 
+def _read_text(path) -> str:
+    """Read a UTF-8 file with universal newlines; other bytes are a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+        ) from None
+
+
 def load_matrix(path) -> tuple[FuzzyRelation, str]:
     """Read a matrix file; returns the relation and the detected format."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     fmt = detect_format(text)
     return parse_matrix(text, fmt), fmt
 

@@ -165,15 +165,6 @@ def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
     )
 
 
-def _family_relations(family) -> list[FuzzyRelation]:
-    if isinstance(family, ExtensionFamily):
-        return list(family.relations())
-    rels = []
-    for item in family:
-        rels.append(item.relation if isinstance(item, FamilyMember) else item)
-    return rels
-
-
 def verify_intersection(r: FuzzyRelation, family) -> Verdict:
     """Check that the pointwise infimum of the family reproduces r exactly.
 
@@ -181,7 +172,7 @@ def verify_intersection(r: FuzzyRelation, family) -> Verdict:
     relations.  Witnesses list each ``((x, y), inf_value, r_value)`` where
     the infimum disagrees with r.
     """
-    inf = pointwise_inf(_family_relations(family))
+    inf = pointwise_inf(m.relation if isinstance(m, FamilyMember) else m for m in family)
     if inf.labels != r.labels:
         raise CarrierMismatchError(
             f"family carrier {inf.labels!r} differs from relation carrier {r.labels!r}"

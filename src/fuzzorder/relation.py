@@ -111,15 +111,37 @@ class AxiomReport:
         return self.reflexive and self.antisymmetric and self.transitive
 
 
+def _label_error(labels) -> tuple[int, str] | None:
+    """The first label breaking the rule :class:`FuzzyRelation` states, as
+    (index, reason), or None; the constructor and both file formats use it."""
+    seen = set()
+    for i, lbl in enumerate(labels):
+        if not isinstance(lbl, str) or lbl == "":
+            return i, f"element labels must be nonempty strings, got {lbl!r}"
+        if lbl != lbl.strip():
+            return i, f"element labels must not start or end with whitespace, got {lbl!r}"
+        if "\r" in lbl:
+            return i, f"element labels must not contain a carriage return, got {lbl!r}"
+        try:
+            lbl.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, which no file can hold
+            return i, f"element labels must be valid UTF-8 text, got {lbl!r}"
+        if lbl in seen:
+            return i, f"element labels must be pairwise distinct, got duplicate {lbl!r}"
+        seen.add(lbl)
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class FuzzyRelation:
     """An immutable fuzzy relation: ordered labels plus an n-by-n grade grid.
 
     Entry ``grid[i, j]`` is the grade of (labels[i], labels[j]).  Construction
     validates the carrier (nonempty, distinct labels of valid UTF-8 text with
-    no leading or trailing whitespace, which CSV would not keep) and the grid
-    (square, finite, every entry in [0, 1]) and freezes both; operations never
-    mutate a relation, they build new ones.
+    no leading or trailing whitespace, which CSV strips, and no carriage
+    return, which CSV writes unquoted and universal newlines turn into a
+    line feed) and the grid (square, finite, every entry in [0, 1]) and
+    freezes both; operations never mutate a relation, they build new ones.
     """
 
     labels: tuple[str, ...]
@@ -129,19 +151,9 @@ class FuzzyRelation:
         labels = tuple(self.labels)
         if len(labels) == 0:
             raise ValueError("carrier must be nonempty")
-        for lbl in labels:
-            if not isinstance(lbl, str) or lbl == "":
-                raise ValueError(f"element labels must be nonempty strings, got {lbl!r}")
-            if lbl != lbl.strip():
-                raise ValueError(
-                    f"element labels must not start or end with whitespace, got {lbl!r}"
-                )
-            try:
-                lbl.encode("utf-8")
-            except UnicodeEncodeError:  # a lone surrogate, which no file can hold
-                raise ValueError(f"element labels must be valid UTF-8 text, got {lbl!r}") from None
-        if len(set(labels)) != len(labels):
-            raise ValueError("element labels must be pairwise distinct")
+        error = _label_error(labels)
+        if error is not None:
+            raise ValueError(error[1])
         grid = np.asarray(self.grid, dtype=np.float64)
         n = len(labels)
         if grid.shape != (n, n):

@@ -167,6 +167,27 @@ def test_verify_deeply_nested_manifest_exits_two(tmp_path, capsys):
     assert "nested too deeply" in capsys.readouterr().err
 
 
+def test_verify_manifest_syntax_error_names_the_manifest(tmp_path, capsys):
+    fam_dir = tmp_path / "fam"
+    fam_dir.mkdir()
+    (fam_dir / "family.json").write_text("{", encoding="utf-8")
+    assert run_command(["verify", ORDER3, "--family", str(fam_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "family.json: invalid JSON" in err and "(row 1, column 2)" in err
+
+
+def test_non_utf8_files_exit_two_naming_the_file(tmp_path, capsys):
+    matrix = tmp_path / "latin1.csv"
+    matrix.write_bytes(b",a\na,1\xff\n")
+    assert run_command(["check", str(matrix)]) == 2
+    assert f"{matrix}: not UTF-8 text: byte 0xff at offset 6" in capsys.readouterr().err
+    fam_dir = tmp_path / "fam"
+    fam_dir.mkdir()
+    (fam_dir / "family.json").write_bytes(b'{"members": ["\xff"]}')
+    assert run_command(["verify", ORDER3, "--family", str(fam_dir)]) == 2
+    assert f"{fam_dir / 'family.json'}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_verify_manifest_entry_outside_directory_exits_two(tmp_path, capsys):
     # x.csv is the order itself, so reading it would make the family verify.
     (tmp_path / "x.csv").write_text(Path(ORDER3).read_text(encoding="utf-8"), encoding="utf-8")

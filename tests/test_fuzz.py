@@ -1,8 +1,10 @@
 """Property-based fuzzing of the input boundary: parsing and the CLI.
 
-Two robustness claims are checked on generated input:
+Three robustness claims are checked on generated input:
 
 * ``parse_matrix`` turns any text into a relation or a :class:`ParseError`;
+* every relation the constructor accepts round-trips bit-identically
+  through CSV and JSON, as text and as a file;
 * ``run_command`` returns 0, 1 or 2 and never raises, for command lines
   drawn from the seven commands and their flags and for fuzzed input files.
 
@@ -14,9 +16,16 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from fuzzorder import FuzzyRelation, ParseError, emit_matrix, parse_matrix
+from fuzzorder import (
+    FuzzyRelation,
+    ParseError,
+    emit_matrix,
+    load_matrix,
+    parse_matrix,
+    save_matrix,
+)
 from fuzzorder.cli import run_command
 
 from conftest import ORDER3_GRID, ORDER3_LABELS, ORDER7_GRID, ORDER7_LABELS
@@ -83,6 +92,34 @@ def test_parse_matrix_yields_relation_or_parse_error(text):
     except ParseError:
         return
     assert isinstance(relation, FuzzyRelation)
+
+
+@st.composite
+def relations(draw):
+    """Any relation the constructor accepts: drawn labels, any grades in [0, 1]."""
+    n = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.text(), min_size=n, max_size=n))
+    grid = draw(
+        st.lists(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+    try:
+        return FuzzyRelation(tuple(labels), grid)
+    except ValueError:
+        assume(False)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(relations(), st.sampled_from(["csv", "json"]))
+def test_accepted_relations_round_trip_bit_identically(tmp_path, relation, fmt):
+    path = tmp_path / f"relation.{fmt}"
+    save_matrix(relation, path)
+    for back in (parse_matrix(emit_matrix(relation, fmt), fmt), load_matrix(path)[0]):
+        assert back.labels == relation.labels
+        assert back.grid.tobytes() == relation.grid.tobytes()
 
 
 # -------------------------------------------------------------------- CLI

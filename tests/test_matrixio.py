@@ -135,6 +135,34 @@ def test_parse_json_rejects_labels_that_cannot_round_trip(label, reason):
         parse_matrix('{"elements": ["' + label + '", "b"], "matrix": [[1, 0], [0, 1]]}')
 
 
+@pytest.mark.parametrize("labels, where", [
+    (["a", "b", "a"], r'"elements" entry 3: .*distinct, got duplicate'),
+    (["a", " b", "c"], r'"elements" entry 2: .*whitespace'),
+    (["a", "b", 3], r'"elements" entry 3: .*nonempty strings, got 3'),
+    (["a\rb", "b", "c"], r'"elements" entry 1: .*carriage return'),
+])
+def test_parse_json_label_error_names_its_elements_entry(labels, where):
+    doc = json.dumps({"elements": labels, "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    with pytest.raises(ParseError, match=where):
+        parse_matrix(doc)
+
+
+def test_parse_json_empty_elements_is_parse_error():
+    with pytest.raises(ParseError, match='"elements"'):
+        parse_matrix('{"elements": [], "matrix": []}')
+
+
+@pytest.mark.parametrize("text, position, reason", [
+    (",a,b,a\na,1,0,0\nb,0,1,0\na,0,0,1\n", (1, 4), "duplicate"),
+    (",a,,b\na,1,0,0\n,0,1,0\nb,0,0,1\n", (1, 3), "nonempty"),
+    (',a,"b\rc"\na,1,0\n"b\rc",0,1\n', (1, 3), "carriage return"),
+])
+def test_parse_csv_label_error_positioned_at_its_header_cell(text, position, reason):
+    with pytest.raises(ParseError, match=reason) as exc:
+        parse_matrix(text)
+    assert (exc.value.row, exc.value.col) == position
+
+
 @pytest.mark.parametrize("text, where", [
     ("\n,a\na,1\n", r"empty header row \(row 1, column 1\)"),
     (",a\na,\r1\n", r"malformed CSV: .* \(row 2\)"),
@@ -151,6 +179,22 @@ def test_leading_byte_order_mark_is_ignored(doc, tmp_path):
     path = tmp_path / "bom.txt"
     path.write_text(doc, encoding="utf-8-sig")
     assert load_matrix(path)[0] == plain
+
+
+def test_load_matrix_rejects_non_utf8_file_naming_path_and_offset(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b",a\r\na,1\r\n\xff,0\r\n")  # the offset counts raw bytes
+    with pytest.raises(ParseError) as exc:
+        load_matrix(path)
+    assert str(path) in str(exc.value)
+    assert "0xff at offset 9" in str(exc.value)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_load_matrix_reads_crlf_and_cr_line_endings(tmp_path, newline):
+    path = tmp_path / "order3.csv"
+    path.write_bytes(ORDER3_CSV.replace("\n", newline).encode("utf-8"))
+    assert load_matrix(path)[0] == parse_matrix(ORDER3_CSV)
 
 
 def test_format_detection():

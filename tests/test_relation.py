@@ -71,6 +71,13 @@ def test_construction_rejects_labels_not_encodable_as_utf8():
         FuzzyRelation(("a\ud800", "b"), [[1, 0], [0, 1]])
 
 
+def test_construction_rejects_labels_with_a_carriage_return():
+    # CSV writes a lone carriage return unquoted, and universal newlines turn
+    # a quoted one into a line feed, so such a label would not survive a file.
+    with pytest.raises(ValueError, match="carriage return"):
+        FuzzyRelation(("0\r0",), [[1]])
+
+
 def test_grid_is_immutable(order3):
     with pytest.raises(ValueError):
         order3.grid[0, 0] = 0.5
