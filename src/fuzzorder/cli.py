@@ -208,6 +208,7 @@ def _cmd_family(args, report):
         "members": len(family),
         "certificates": family.certificate_count,
         "tags": [list(member.tags) for member in family.members],
+        "built": family.built,
     }
     info = [
         f"certifying family: {len(family)} members carrying "

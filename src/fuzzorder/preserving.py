@@ -12,15 +12,25 @@ The certifying family bundles finitely many linear extensions whose
 pointwise infimum reproduces the original order: two oppositely oriented
 extensions per incomparable pair, plus one clamp per positive off-diagonal
 entry.  ``verify_intersection`` checks the reconstruction bit-exactly.
+
+The orienting members are linearized together, as a members x n x n stack of
+grids.  One cursor walks r's incomparable pairs once, in row-major order, and
+at each pair pivots exactly the members for which that pair is still
+incomparable.  A member's incomparable pairs are a subset of r's, so every
+member meets its pivots in the order a linearization of it alone would.  The
+stack advances in consecutive slabs of members no larger than a fixed byte
+budget, so its memory does not grow with the number of members.  Members are
+merged by their grids before any relation is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .extension import _linear_grid, _pivot_grid
+from .extension import _linear_grid
 from .relation import (
     CarrierMismatchError,
     ElementLike,
@@ -75,9 +85,15 @@ class FamilyMember:
 
 @dataclass(frozen=True)
 class ExtensionFamily:
-    """A finite set of tagged linear extensions of one base order."""
+    """A finite set of tagged linear extensions of one base order.
+
+    ``built`` counts the members :func:`certifying_family` constructed before
+    merging bit-identical ones (None for a family assembled otherwise); it
+    takes no part in equality.
+    """
 
     members: tuple[FamilyMember, ...]
+    built: int | None = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -111,22 +127,68 @@ def clamp_extend(r: FuzzyRelation, a: ElementLike, b: ElementLike) -> ClampResul
             f"cannot preserve the grade of ({r.labels[ia]!r}, {r.labels[ib]!r}): it is 0",
         )
     base = FuzzyRelation(r.labels, _linear_grid(r.grid))
-    return ClampResult(_clamp(r, base, ia, ib), beta, base, Pair(r.element(ia), r.element(ib)))
+    s = base
+    if base.grid[ia, ib] != beta:
+        s = FuzzyRelation(r.labels, _clamp(r.grid, base.grid, beta))
+    return ClampResult(s, beta, base, Pair(r.element(ia), r.element(ib)))
 
 
-def _clamp(r: FuzzyRelation, base: FuzzyRelation, ia: int, ib: int) -> FuzzyRelation:
-    # The clamp formula on a linear extension of r, unchecked.
-    beta = r.grid[ia, ib]
-    if base.grid[ia, ib] == beta:
-        return base
-    s = np.where(r.grid > beta, base.grid, np.minimum(beta, base.grid))
-    return FuzzyRelation(r.labels, s)
+def _clamp(grid: np.ndarray, base: np.ndarray, beta) -> np.ndarray:
+    # The clamp formula at level beta on a linear extension ``base`` of the
+    # order grid, unchecked.  It is used only where base falls off beta at
+    # the preserved pair; elsewhere the member is base itself.
+    return np.where(grid > beta, base, np.minimum(beta, base))
 
 
 def _positive_off_diagonal(r: FuzzyRelation) -> list[tuple[int, int]]:
     pos = np.array(r.grid > 0.0)
     np.fill_diagonal(pos, False)
     return [(int(i), int(j)) for i, j in np.argwhere(pos)]
+
+
+# The stack's bound: one slab of orienting members holds at most this many
+# bytes of grids, so the family of any order with n <= 22 fits in one slab.
+_SLAB_BYTES = 2 << 20
+
+
+def _orienting_grids(grid: np.ndarray, pairs):
+    # The linearized grid of every orienting member, in member order: per
+    # incomparable pair (i, j) of ``pairs`` = _incomparable(grid).nonzero(),
+    # the member putting i above j and then the one putting j above i.  Each
+    # yielded grid is a view into one slab buffer that the next slab
+    # overwrites, so the caller copies what it keeps before asking for more.
+    first, second = pairs
+    tops = np.column_stack((first, second)).ravel()
+    bottoms = np.column_stack((second, first)).ravel()
+    cursor = list(zip(first.tolist(), second.tolist()))
+    buffer = np.empty((min(len(tops), max(1, _SLAB_BYTES // grid.nbytes)),) + grid.shape)
+    for lo in range(0, len(tops), len(buffer)):
+        a, b = tops[lo:lo + len(buffer)], bottoms[lo:lo + len(buffer)]
+        # stack[k] = max(r, min(r[:, a_k], r[b_k, :])), the pivoted grid of member k
+        stack = np.minimum(grid.T[a][:, :, None], grid[b][:, None, :], out=buffer[:len(a)])
+        np.maximum(stack, grid, out=stack)
+        for i, j in cursor:
+            live = ((stack[:, i, j] == 0.0) & (stack[:, j, i] == 0.0)).nonzero()[0]
+            if len(live):
+                g = stack[live]
+                np.maximum(g, np.minimum(g[:, :, i, None], g[:, None, j, :]), out=g)
+                stack[live] = g
+        yield from stack
+
+
+class _GridKey:
+    # A grid as a dict key, equal to another when equal entry for entry; it
+    # holds the grid itself rather than a copy of its bytes.
+    __slots__ = ("grid", "_hash")
+
+    def __init__(self, grid: np.ndarray):
+        self.grid, self._hash = grid, hash(grid.tobytes())
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return np.array_equal(self.grid, other.grid)
 
 
 def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
@@ -137,31 +199,51 @@ def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
     rest).  For each ordered pair with positive off-diagonal grade: one
     clamp member preserving that grade.  A linear r certifies itself and
     yields the singleton family {r}.
+
+    All orienting members are linearized at once: their pivoted grids form a
+    members x n x n stack, and one cursor over r's incomparable pairs, in
+    row-major order, pivots at each pair exactly the members for which the
+    pair is still incomparable, so every member ends as the "low"
+    linearization of its pivoted grid would.  The stack advances in slabs of
+    at most ``_SLAB_BYTES`` of grids.  Members equal grid for grid are
+    merged, in order of first occurrence, before their relations are built;
+    ``built`` on the result counts them before the merge.
     """
     if not _passes_order(r):
         raise PreconditionError("not-an-order", "certifying family requires a valid fuzzy order")
 
     labels = r.labels
     positives = _positive_off_diagonal(r)
-    incomparables = np.argwhere(_incomparable(r.grid))
-    if not len(incomparables):
+    pairs = _incomparable(r.grid).nonzero()
+    if not len(pairs[0]):
         tags = tuple(f"preserves({labels[i]},{labels[j]})" for i, j in positives)
-        return ExtensionFamily((FamilyMember(r, tags),))
+        return ExtensionFamily((FamilyMember(r, tags),), built=1)
 
-    ordered: list[tuple[FuzzyRelation, str]] = []
-    for i, j in incomparables:
-        for a, b in ((i, j), (j, i)):
-            s = FuzzyRelation(labels, _linear_grid(_pivot_grid(r.grid, a, b)))
-            ordered.append((s, f"orients({labels[a]},{labels[b]})"))
-    base = FuzzyRelation(labels, _linear_grid(r.grid))
-    for i, j in positives:
-        ordered.append((_clamp(r, base, i, j), f"preserves({labels[i]},{labels[j]})"))
+    orienting = zip(
+        _orienting_grids(r.grid, pairs),
+        (f"orients({labels[a]},{labels[b]})" for i, j in zip(*pairs) for a, b in ((i, j), (j, i))),
+    )
+    base = _linear_grid(r.grid)
+    preserving = (
+        (
+            base if base[i, j] == r.grid[i, j] else _clamp(r.grid, base, r.grid[i, j]),
+            f"preserves({labels[i]},{labels[j]})",
+        )
+        for i, j in positives
+    )
 
-    merged: dict[FuzzyRelation, list[str]] = {}
-    for rel, tag in ordered:
-        merged.setdefault(rel, []).append(tag)
+    merged: dict[_GridKey, tuple[FuzzyRelation, list[str]]] = {}
+    for grid, tag in chain(orienting, preserving):
+        key = _GridKey(grid)
+        entry = merged.get(key)
+        if entry is None:
+            relation = FuzzyRelation(labels, grid)
+            key.grid = relation.grid  # keep the relation's copy, not the slab
+            entry = merged[key] = (relation, [])
+        entry[1].append(tag)
+    built = 2 * len(pairs[0]) + len(positives)
     return ExtensionFamily(
-        tuple(FamilyMember(rel, tuple(tags)) for rel, tags in merged.items())
+        tuple(FamilyMember(rel, tuple(tags)) for rel, tags in merged.values()), built
     )
 
 

@@ -111,6 +111,11 @@ class AxiomReport:
         return self.reflexive and self.antisymmetric and self.transitive
 
 
+# Far below the 131,072-character field limit of Python's CSV reader, so every
+# label the constructor accepts parses back from CSV.
+_MAX_LABEL_LENGTH = 1024
+
+
 def _label_error(labels) -> tuple[int, str] | None:
     """The first label breaking the rule :class:`FuzzyRelation` states, as
     (index, reason), or None; the constructor and both file formats use it."""
@@ -118,6 +123,11 @@ def _label_error(labels) -> tuple[int, str] | None:
     for i, lbl in enumerate(labels):
         if not isinstance(lbl, str) or lbl == "":
             return i, f"element labels must be nonempty strings, got {lbl!r}"
+        if len(lbl) > _MAX_LABEL_LENGTH:
+            return i, (
+                f"element labels must be at most {_MAX_LABEL_LENGTH} characters, "
+                f"got one of {len(lbl)}"
+            )
         if lbl != lbl.strip():
             return i, f"element labels must not start or end with whitespace, got {lbl!r}"
         if "\r" in lbl:
@@ -137,11 +147,12 @@ class FuzzyRelation:
     """An immutable fuzzy relation: ordered labels plus an n-by-n grade grid.
 
     Entry ``grid[i, j]`` is the grade of (labels[i], labels[j]).  Construction
-    validates the carrier (nonempty, distinct labels of valid UTF-8 text with
-    no leading or trailing whitespace, which CSV strips, and no carriage
-    return, which CSV writes unquoted and universal newlines turn into a
-    line feed) and the grid (square, finite, every entry in [0, 1]) and
-    freezes both; operations never mutate a relation, they build new ones.
+    validates the carrier (nonempty, distinct labels of at most 1024
+    characters of valid UTF-8 text with no leading or trailing whitespace,
+    which CSV strips, and no carriage return, which CSV writes unquoted and
+    universal newlines turn into a line feed) and the grid (square, finite,
+    every entry in [0, 1]) and freezes both; operations never mutate a
+    relation, they build new ones.
     """
 
     labels: tuple[str, ...]

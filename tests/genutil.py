@@ -6,12 +6,15 @@ import numpy as np
 
 from fuzzorder import (
     ExtensionFamily,
+    FamilyMember,
     FuzzyRelation,
     GeneratorSpec,
     certifying_family,
     random_zadeh_order,
     verify_intersection,
 )
+from fuzzorder.extension import _linear_grid, _pivot_grid
+from fuzzorder.relation import _incomparable
 
 CORPUS_DENSITIES = (0.0, 0.3, 0.5, 0.7, 1.0)
 
@@ -75,6 +78,37 @@ def rescan_linearization(grid: np.ndarray, labels=None, orient=lambda i, j: (i, 
         )
         steps.append((a, b, raised))
         grid = new
+
+
+def reference_family(r: FuzzyRelation) -> ExtensionFamily:
+    """Reference certifying family: build every member on its own, then merge.
+
+    Per incomparable pair (i, j), row-major: pivot i above j on the whole
+    grid and linearize the result, then the same for j above i.  Then one
+    clamp per positive off-diagonal entry, on the one linearization of r.
+    Relations equal bit for bit are merged in order of first occurrence.
+    ``r`` must be an order.
+    """
+    labels = r.labels
+    positives = [(i, j) for i, j in np.argwhere(r.grid > 0.0) if i != j]
+    incomparables = np.argwhere(_incomparable(r.grid))
+    if not len(incomparables):
+        tags = tuple(f"preserves({labels[i]},{labels[j]})" for i, j in positives)
+        return ExtensionFamily((FamilyMember(r, tags),))
+    ordered = []
+    for i, j in incomparables:
+        for a, b in ((i, j), (j, i)):
+            s = FuzzyRelation(labels, _linear_grid(_pivot_grid(r.grid, a, b)))
+            ordered.append((s, f"orients({labels[a]},{labels[b]})"))
+    base = _linear_grid(r.grid)
+    for i, j in positives:
+        beta = r.grid[i, j]
+        s = base if base[i, j] == beta else np.where(r.grid > beta, base, np.minimum(beta, base))
+        ordered.append((FuzzyRelation(labels, s), f"preserves({labels[i]},{labels[j]})"))
+    merged: dict[FuzzyRelation, list[str]] = {}
+    for rel, tag in ordered:
+        merged.setdefault(rel, []).append(tag)
+    return ExtensionFamily(tuple(FamilyMember(rel, tuple(tags)) for rel, tags in merged.items()))
 
 
 def corrupt(r: FuzzyRelation, rng: np.random.Generator) -> FuzzyRelation:

@@ -272,6 +272,12 @@ def test_json_verify_report(tmp_path, capsys):
     assert payload["family"] == {"members": 4}
 
 
+def test_json_family_report_counts_members_before_merging(capsys):
+    assert run_command(["family", ORDER7, "--json"]) == 0
+    family = json.loads(capsys.readouterr().out)["family"]
+    assert (family["built"], family["members"], family["certificates"]) == (25, 12, 25)
+
+
 def test_cli_is_thin_adapter(capsys, order7):
     """The linearize command must agree with a direct library call."""
     assert run_command(["linearize", ORDER7, "--json"]) == 0

@@ -147,6 +147,25 @@ def test_parse_json_label_error_names_its_elements_entry(labels, where):
         parse_matrix(doc)
 
 
+def test_label_longer_than_the_bound_is_rejected_by_constructor_and_both_formats():
+    # CSV's reader refuses fields over 131,072 characters, so such a label
+    # could be built and emitted but not parsed back.
+    long = "a" * 140000
+    with pytest.raises(ValueError, match="at most 1024 characters, got one of 140000"):
+        FuzzyRelation((long,), [[1]])
+    with pytest.raises(ParseError, match='"elements" entry 1: .*at most 1024 characters'):
+        parse_matrix(json.dumps({"elements": [long], "matrix": [[1]]}))
+    with pytest.raises(ParseError, match="at most 1024 characters") as exc:
+        parse_matrix(f",{'a' * 1025}\n{'a' * 1025},1\n")
+    assert (exc.value.row, exc.value.col) == (1, 2)
+
+
+def test_label_at_the_bound_round_trips_in_both_formats():
+    r = FuzzyRelation(("a" * 1024, "b"), [[1, 0.5], [0, 1]])
+    for fmt in ("csv", "json"):
+        assert parse_matrix(emit_matrix(r, fmt)) == r
+
+
 def test_parse_json_empty_elements_is_parse_error():
     with pytest.raises(ParseError, match='"elements"'):
         parse_matrix('{"elements": [], "matrix": []}')

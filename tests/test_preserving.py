@@ -6,20 +6,24 @@ from fuzzorder import (
     CarrierMismatchError,
     EmptyFamilyError,
     FuzzyRelation,
+    GeneratorSpec,
     PreconditionError,
     brute_check_order,
     certifying_family,
     check_order,
     clamp_extend,
     extends,
+    incomparable_pairs,
     is_linear,
     linearize,
     pivot_extend,
     pointwise_inf,
+    random_zadeh_order,
     verify_intersection,
 )
+from fuzzorder import preserving
 
-from genutil import corpus, drop_preserving_members
+from genutil import block_sum, corpus, drop_preserving_members, reference_family
 
 # Frozen from an entrywise evaluation of the clamp formula against the two
 # 7-element golden matrices (beta = 0.55, base = the pinned linearization).
@@ -183,6 +187,56 @@ def test_family_members_match_the_public_constructions(order3, order7):
                 else:
                     expected = clamp_extend(r, a, b).relation
                 assert member.relation == expected, (r.tolists(), tag)
+
+
+def test_family_order7_counts_members_before_merging(order7):
+    family = certifying_family(order7)
+    assert family.built == 25  # one member per certificate, before merging
+    assert len(family.members) == 12
+    assert family == reference_family(order7)  # built takes no part in equality
+
+
+def _assert_matches_reference(r):
+    family, reference = certifying_family(r), reference_family(r)
+    assert [m.tags for m in family.members] == [m.tags for m in reference.members]
+    for got, want in zip(family.members, reference.members):
+        assert got.relation.labels == want.relation.labels
+        assert got.relation.grid.tobytes() == want.relation.grid.tobytes()
+    # one member per certificate before merging; a linear r is its own family
+    assert family.built == (1 if is_linear(r) else family.certificate_count)
+    assert verify_intersection(r, family)
+
+
+def test_family_matches_reference_on_goldens(order3, order4, order7, order7_linear):
+    for r in (order3, order4, order7, order7_linear):
+        _assert_matches_reference(r)
+
+
+def test_family_matches_reference_on_corpus():
+    for r in corpus(300, max_n=12):
+        _assert_matches_reference(r)
+
+
+def _block_sum(sizes, ordinal):
+    densities = (0.3, 0.5, 0.7)
+    blocks = [
+        random_zadeh_order(GeneratorSpec(n=n, density=densities[k % 3], seed=700 + k))
+        for k, n in enumerate(sizes)
+    ]
+    return block_sum(blocks, ordinal)
+
+
+@pytest.mark.parametrize("ordinal", [False, True])
+@pytest.mark.parametrize("sizes", [(7, 7), (12, 8), (12, 12), (10, 10, 10), (12, 12, 12)])
+def test_family_matches_reference_on_block_sums(sizes, ordinal):
+    _assert_matches_reference(_block_sum(sizes, ordinal))
+
+
+def test_family_block_sum_spans_several_slabs():
+    """The disjoint 36-element sum above stacks its orienting members in three slabs or more."""
+    r = _block_sum((12, 12, 12), ordinal=False)
+    members = 2 * len(incomparable_pairs(r))
+    assert members > 2 * (preserving._SLAB_BYTES // r.grid.nbytes)
 
 
 def test_family_propagates_not_an_order():
