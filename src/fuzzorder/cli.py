@@ -234,33 +234,41 @@ def _cmd_family(args, report):
     return 0, info
 
 
-def _manifest_paths(directory: Path, manifest: Path) -> list[Path]:
+def _manifest_paths(manifest: Path, inside) -> list[Path]:
     doc = _read_json(_read_text(manifest), f"{manifest}: ")
     listed = doc.get("members") if isinstance(doc, dict) else None
     if not isinstance(listed, list):
         raise ParseError(f'{manifest}: expected an object with a "members" list')
-    root = directory.resolve()
     paths = []
     for k, entry in enumerate(listed, start=1):
         name = entry.get("file") if isinstance(entry, dict) else None
         if not isinstance(name, str):
             raise ParseError(f'{manifest}: member {k} must be an object with a string "file"')
-        path = (root / name).resolve()
-        if Path(name).is_absolute() or not path.is_relative_to(root):
-            raise ParseError(f"{manifest}: member {k} file {name!r} lies outside {directory}")
-        paths.append(path)
+        paths.append(inside(name, f"{manifest}: member {k} "))
     return paths
 
 
 def _read_family_dir(directory: Path):
+    root = directory.resolve()
+
+    def inside(name: str, where: str) -> Path:
+        # The directory's file ``name``, resolved through any symlink; a
+        # ParseError positioned at ``where`` when it lies outside the directory.
+        path = (root / name).resolve()
+        if Path(name).is_absolute() or not path.is_relative_to(root):
+            raise ParseError(f"{where}file {name!r} lies outside {directory}")
+        return path
+
     manifest = directory / "family.json"
     if manifest.exists():
-        paths = _manifest_paths(directory, manifest)
+        inside(manifest.name, f"{directory}: ")
+        paths = _manifest_paths(manifest, inside)
     else:
-        paths = sorted(
-            p for p in directory.iterdir()
+        paths = [
+            inside(p.name, f"{directory}: ")
+            for p in sorted(directory.iterdir())
             if p.suffix in (".csv", ".json") and p.name != "family.json"
-        )
+        ]
     if not paths:
         raise EmptyFamilyError(f"no family members found in {directory}")
     return [load_matrix(p)[0] for p in paths]

@@ -96,7 +96,7 @@ def pivot_extend(r: FuzzyRelation, a: ElementLike, b: ElementLike) -> FuzzyRelat
             f"cannot put {r.labels[ia]!r} above {r.labels[ib]!r}: "
             f"the reverse grade is {float(r.grid[ib, ia])}, not 0",
         )
-    return FuzzyRelation(r.labels, _pivot_grid(r.grid, ia, ib))
+    return FuzzyRelation._on_carrier_of(r, _pivot_grid(r.grid, ia, ib))
 
 
 def _pivot_steps(g: np.ndarray, pairs, orient=lambda i, j: (i, j)):
@@ -171,7 +171,8 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
             new[xs, ys].tolist(),
         ))
         trace.append(PivotStep(elems[ia], elems[ib], len(trace) + 1, raised))
-    return LinearizationResult(FuzzyRelation(labels, grid), tuple(trace), len(trace), m)
+    relation = FuzzyRelation._on_carrier_of(r, grid)
+    return LinearizationResult(relation, tuple(trace), len(trace), m)
 
 
 def count_incomparable_entries(r: FuzzyRelation) -> int:

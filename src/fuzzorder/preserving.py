@@ -19,8 +19,8 @@ at each pair pivots exactly the members for which that pair is still
 incomparable.  A member's incomparable pairs are a subset of r's, so every
 member meets its pivots in the order a linearization of it alone would.  The
 stack advances in consecutive slabs of members no larger than a fixed byte
-budget, so its memory does not grow with the number of members.  Members are
-merged by their grids before any relation is built.
+budget, so its memory does not grow with the number of members.  Equal
+members are merged, in order of first occurrence.
 """
 
 from __future__ import annotations
@@ -126,10 +126,10 @@ def clamp_extend(r: FuzzyRelation, a: ElementLike, b: ElementLike) -> ClampResul
             "r(a,b)=0",
             f"cannot preserve the grade of ({r.labels[ia]!r}, {r.labels[ib]!r}): it is 0",
         )
-    base = FuzzyRelation(r.labels, _linear_grid(r.grid))
+    base = FuzzyRelation._on_carrier_of(r, _linear_grid(r.grid))
     s = base
     if base.grid[ia, ib] != beta:
-        s = FuzzyRelation(r.labels, _clamp(r.grid, base.grid, beta))
+        s = FuzzyRelation._on_carrier_of(r, _clamp(r.grid, base.grid, beta))
     return ClampResult(s, beta, base, Pair(r.element(ia), r.element(ib)))
 
 
@@ -176,21 +176,6 @@ def _orienting_grids(grid: np.ndarray, pairs):
         yield from stack
 
 
-class _GridKey:
-    # A grid as a dict key, equal to another when equal entry for entry; it
-    # holds the grid itself rather than a copy of its bytes.
-    __slots__ = ("grid", "_hash")
-
-    def __init__(self, grid: np.ndarray):
-        self.grid, self._hash = grid, hash(grid.tobytes())
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return np.array_equal(self.grid, other.grid)
-
-
 def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
     """Construct a finite family of linear extensions whose inf equals r.
 
@@ -205,9 +190,9 @@ def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
     row-major order, pivots at each pair exactly the members for which the
     pair is still incomparable, so every member ends as the "low"
     linearization of its pivoted grid would.  The stack advances in slabs of
-    at most ``_SLAB_BYTES`` of grids.  Members equal grid for grid are
-    merged, in order of first occurrence, before their relations are built;
-    ``built`` on the result counts them before the merge.
+    at most ``_SLAB_BYTES`` of grids.  Equal members are merged, in order
+    of first occurrence; ``built`` on the result counts them before the
+    merge.
     """
     if not _passes_order(r):
         raise PreconditionError("not-an-order", "certifying family requires a valid fuzzy order")
@@ -232,19 +217,11 @@ def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
         for i, j in positives
     )
 
-    merged: dict[_GridKey, tuple[FuzzyRelation, list[str]]] = {}
+    merged: dict[FuzzyRelation, list[str]] = {}
     for grid, tag in chain(orienting, preserving):
-        key = _GridKey(grid)
-        entry = merged.get(key)
-        if entry is None:
-            relation = FuzzyRelation(labels, grid)
-            key.grid = relation.grid  # keep the relation's copy, not the slab
-            entry = merged[key] = (relation, [])
-        entry[1].append(tag)
-    built = 2 * len(pairs[0]) + len(positives)
-    return ExtensionFamily(
-        tuple(FamilyMember(rel, tuple(tags)) for rel, tags in merged.values()), built
-    )
+        merged.setdefault(FuzzyRelation._on_carrier_of(r, grid), []).append(tag)
+    members = tuple(FamilyMember(rel, tuple(tags)) for rel, tags in merged.items())
+    return ExtensionFamily(members, built=2 * len(pairs[0]) + len(positives))
 
 
 def verify_intersection(r: FuzzyRelation, family) -> Verdict:

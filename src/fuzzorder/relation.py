@@ -9,6 +9,7 @@ tolerances anywhere in this package.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -152,7 +153,8 @@ class FuzzyRelation:
     which CSV strips, and no carriage return, which CSV writes unquoted and
     universal newlines turn into a line feed) and the grid (square, finite,
     every entry in [0, 1]) and freezes both; operations never mutate a
-    relation, they build new ones.
+    relation, they build new ones on their input's already validated
+    carrier.
     """
 
     labels: tuple[str, ...]
@@ -175,11 +177,22 @@ class FuzzyRelation:
             raise ValueError("grades must be finite (no NaN or infinity)")
         if (grid < 0.0).any() or (grid > 1.0).any():
             raise ValueError("grades must lie in the closed interval [0, 1]")
+        self._freeze(labels, grid, {lbl: i for i, lbl in enumerate(labels)})
+
+    def _freeze(self, labels, grid, pos):
         grid = grid + 0.0  # fresh array; also canonicalizes -0.0 to +0.0
         grid.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "_pos", {lbl: i for i, lbl in enumerate(labels)})
+        object.__setattr__(self, "_pos", pos)
+
+    @classmethod
+    def _on_carrier_of(cls, r: "FuzzyRelation", grid: np.ndarray) -> "FuzzyRelation":
+        # A relation derived from r: it shares r's validated labels and index,
+        # and ``grid``, n x n floats made by min/max from r's, is not checked.
+        s = object.__new__(cls)
+        s._freeze(r.labels, grid, r._pos)
+        return s
 
     # -- carrier ----------------------------------------------------------
 
@@ -200,7 +213,7 @@ class FuzzyRelation:
                 return self._pos[x]
             except KeyError:
                 raise KeyError(f"unknown element label {x!r}") from None
-        i = int(x)
+        i = operator.index(x)  # an int, bool or numpy integer; a float is a TypeError
         if not 0 <= i < self.n:
             raise IndexError(f"element index {i} out of range for carrier of size {self.n}")
         return i
@@ -258,11 +271,11 @@ def _transitivity_witnesses(r: FuzzyRelation):
     # Only the y with r(x, y) > 0 can bound r(x, z).  They stay in ascending
     # order, so the witnesses keep their row-major order.
     g = r.grid
-    for x, (row, ys) in enumerate(zip(g, g > 0.0)):
+    for x, row in enumerate(g):
+        ys = row.nonzero()[0]
         via = np.minimum(row[ys, None], g[ys])  # [k, z] = min(r(x, y_k), r(y_k, z))
         bad = via > row
         if bad.any():  # argwhere on every row would dominate on valid orders
-            ys = ys.nonzero()[0]
             for k, z in np.argwhere(bad):
                 yield (r.labels[x], r.labels[ys[k]], r.labels[z]), float(row[z]), float(via[k, z])
 
@@ -359,10 +372,8 @@ def pointwise_inf(family: Iterable[FuzzyRelation] | Sequence[FuzzyRelation]) -> 
     members = list(family)
     if not members:
         raise EmptyFamilyError("pointwise infimum of an empty family is undefined")
-    labels = members[0].labels
+    first = members[0]
     for m in members[1:]:
-        if m.labels != labels:
-            raise CarrierMismatchError(
-                f"carriers differ: {labels!r} vs {m.labels!r}"
-            )
-    return FuzzyRelation(labels, np.minimum.reduce([m.grid for m in members]))
+        if m.labels != first.labels:
+            raise CarrierMismatchError(f"carriers differ: {first.labels!r} vs {m.labels!r}")
+    return FuzzyRelation._on_carrier_of(first, np.minimum.reduce([m.grid for m in members]))

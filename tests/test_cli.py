@@ -197,6 +197,42 @@ def test_verify_manifest_entry_outside_directory_exits_two(tmp_path, capsys):
         assert "outside" in capsys.readouterr().err
 
 
+def _write(path, text):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def test_verify_symlinked_member_outside_directory_exits_two(tmp_path, capsys):
+    # Without a manifest the directory is listed; x.csv is the order itself.
+    _write(tmp_path / "outside" / "x.csv", Path(ORDER3).read_text(encoding="utf-8"))
+    fam_dir = tmp_path / "fam"
+    fam_dir.mkdir()
+    (fam_dir / "m.csv").symlink_to(Path("..") / "outside" / "x.csv")
+    assert run_command(["verify", ORDER3, "--family", str(fam_dir)]) == 2
+    assert f"{fam_dir}: file 'm.csv' lies outside {fam_dir}" in capsys.readouterr().err
+
+
+def test_verify_symlinked_manifest_outside_directory_exits_two(tmp_path, capsys):
+    # The outside manifest lists a member that is the order itself.
+    outside = _write(tmp_path / "outside.json", json.dumps({"members": [{"file": "m.csv"}]}))
+    fam_dir = tmp_path / "fam"
+    _write(fam_dir / "m.csv", Path(ORDER3).read_text(encoding="utf-8"))
+    (fam_dir / "family.json").symlink_to(outside)
+    assert run_command(["verify", ORDER3, "--family", str(fam_dir)]) == 2
+    assert f"{fam_dir}: file 'family.json' lies outside {fam_dir}" in capsys.readouterr().err
+
+
+def test_verify_symlinks_inside_the_directory_are_read(tmp_path):
+    fam_dir = tmp_path / "fam"
+    _write(fam_dir / "x.csv", Path(ORDER3).read_text(encoding="utf-8"))
+    (fam_dir / "m.csv").symlink_to("x.csv")
+    assert run_command(["verify", ORDER3, "--family", str(fam_dir)]) == 0
+    _write(fam_dir / "listing.json", json.dumps({"members": [{"file": "m.csv"}]}))
+    (fam_dir / "family.json").symlink_to("listing.json")
+    assert run_command(["verify", ORDER3, "--family", str(fam_dir)]) == 0
+
+
 # ---------------------------------------------------------------- gen
 
 

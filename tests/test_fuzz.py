@@ -3,8 +3,9 @@
 Three robustness claims are checked on generated input:
 
 * ``parse_matrix`` turns any text into a relation or a :class:`ParseError`;
-* every relation the constructor accepts round-trips bit-identically
-  through CSV and JSON, as text and as a file;
+* every relation the constructor accepts, and the linearization of a drawn
+  order, round-trips bit-identically through CSV and JSON, as text and as a
+  file;
 * ``run_command`` returns 0, 1 or 2 and never raises, for command lines
   drawn from the seven commands and their flags and for fuzzed input files.
 
@@ -20,10 +21,13 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from fuzzorder import (
     FuzzyRelation,
+    GeneratorSpec,
     ParseError,
     emit_matrix,
+    linearize,
     load_matrix,
     parse_matrix,
+    random_zadeh_order,
     save_matrix,
 )
 from fuzzorder.cli import run_command
@@ -115,11 +119,43 @@ def relations(draw):
 )
 @given(relations(), st.sampled_from(["csv", "json"]))
 def test_accepted_relations_round_trip_bit_identically(tmp_path, relation, fmt):
+    _assert_round_trips(tmp_path, relation, fmt)
+
+
+def _assert_round_trips(tmp_path, relation, fmt):
     path = tmp_path / f"relation.{fmt}"
     save_matrix(relation, path)
     for back in (parse_matrix(emit_matrix(relation, fmt), fmt), load_matrix(path)[0]):
         assert back.labels == relation.labels
         assert back.grid.tobytes() == relation.grid.tobytes()
+
+
+@st.composite
+def orders(draw):
+    """A random order on drawn labels, with grades drawn from (0, 1]."""
+    n = draw(st.integers(1, 5))
+    labels = draw(st.lists(st.text(), min_size=n, max_size=n))
+    spec = GeneratorSpec(
+        n=n,
+        density=draw(st.floats(0.0, 1.0)),
+        value_pool=draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=4)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    try:
+        return FuzzyRelation(tuple(labels), random_zadeh_order(spec).grid)
+    except ValueError:
+        assume(False)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(orders(), st.sampled_from(["csv", "json"]))
+def test_derived_relations_round_trip_bit_identically(tmp_path, order, fmt):
+    """A linearization is built on its order's carrier, not by the constructor."""
+    _assert_round_trips(tmp_path, linearize(order).relation, fmt)
 
 
 # -------------------------------------------------------------------- CLI

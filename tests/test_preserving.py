@@ -1,5 +1,6 @@
 """Clamp construction, certifying families, and intersection verification."""
 
+import numpy as np
 import pytest
 
 from fuzzorder import (
@@ -22,6 +23,7 @@ from fuzzorder import (
     verify_intersection,
 )
 from fuzzorder import preserving
+from fuzzorder import relation as relation_module
 
 from genutil import block_sum, corpus, drop_preserving_members, reference_family
 
@@ -121,7 +123,7 @@ def test_clamp_precondition_not_an_order():
 def test_family_of_linear_order_is_singleton(order7_linear):
     family = certifying_family(order7_linear)
     assert len(family) == 1
-    assert family.members[0].relation == order7_linear
+    assert family.members[0].relation is order7_linear  # the order itself, not a copy
 
 
 def test_family_order3_members(order3):
@@ -237,6 +239,51 @@ def test_family_block_sum_spans_several_slabs():
     r = _block_sum((12, 12, 12), ordinal=False)
     members = 2 * len(incomparable_pairs(r))
     assert members > 2 * (preserving._SLAB_BYTES // r.grid.nbytes)
+
+
+def _derived_relations(r):
+    """Every relation the library derives from the order r, one call at a time."""
+    yield linearize(r).relation
+    yield linearize(r, "high").relation
+    for pair in incomparable_pairs(r):
+        yield pivot_extend(r, pair.first, pair.second)
+        yield pivot_extend(r, pair.second, pair.first)
+    for i, j in zip(*(r.grid > 0.0).nonzero()):
+        if i != j:
+            result = clamp_extend(r, int(i), int(j))
+            yield result.relation
+            yield result.base
+    family = certifying_family(r)
+    if not is_linear(r):  # a linear order is its own family
+        yield from family.relations()
+    yield pointwise_inf(family.relations())
+
+
+def test_derived_relations_share_the_validated_carrier(order3, order4, order7, order7_linear):
+    for r in [order3, order4, order7, order7_linear] + corpus(300):
+        for s in _derived_relations(r):
+            rebuilt = FuzzyRelation(r.labels, s.grid)
+            assert s == rebuilt and hash(s) == hash(rebuilt)
+            assert s.labels is r.labels and s.index_of(r.labels[-1]) == r.n - 1
+            assert not s.grid.flags.writeable
+            # its own fresh array: no view of r's grid, a slab or another member
+            assert s.grid.flags.owndata and not np.shares_memory(s.grid, r.grid)
+
+
+def test_family_and_verify_skip_the_label_rule(monkeypatch, order7):
+    """Members reuse the order's checked labels; only the public constructor checks them."""
+    orders = [order7] + corpus(40, max_n=12)
+    calls = []
+    label_error = relation_module._label_error
+    monkeypatch.setattr(
+        relation_module, "_label_error", lambda labels: calls.append(labels) or label_error(labels)
+    )
+    for r in orders:
+        family = certifying_family(r)
+        assert verify_intersection(r, family)
+    assert calls == []
+    FuzzyRelation(order7.labels, order7.grid)
+    assert calls == [order7.labels]
 
 
 def test_family_propagates_not_an_order():

@@ -17,6 +17,7 @@ from fuzzorder import (
     is_reflexive,
     is_transitive,
     linearize,
+    pivot_extend,
     pointwise_inf,
 )
 
@@ -105,6 +106,19 @@ def test_element_lookup(order7):
         order7.index_of("nope")
     with pytest.raises(IndexError):
         order7.index_of(7)
+
+
+def test_index_references_must_be_integers(order7):
+    assert order7.index_of(np.int64(2)) == 2
+    assert order7.index_of(True) == 1
+    assert order7.value(np.intp(0), 3) == 0.55
+    for x in (1.2, 1.0, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            order7.index_of(x)
+    with pytest.raises(TypeError):
+        order7.value(0.9, 2.7)  # not truncated to the grade at (0, 2)
+    with pytest.raises(TypeError):
+        pivot_extend(order7, 1.2, 2.9)  # not truncated to elements 1 and 2
 
 
 # ---------------------------------------------------------------- axioms
