@@ -41,7 +41,7 @@ __all__ = [
     "pivot_extend",
 ]
 
-PivotPolicy = Union[str, Iterable[tuple[str, str]]]
+PivotPolicy = Union[str, Iterable[tuple[ElementLike, ElementLike]]]
 
 
 @dataclass(frozen=True)
@@ -138,15 +138,15 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
 
     * ``"low"`` (default): the lower-indexed element goes on top.
     * ``"high"``: the higher-indexed element goes on top.
-    * an iterable of ``(a_label, b_label)`` pairs: those pairs are oriented
-      as given when encountered; unlisted pairs fall back to ``"low"``.
+    * an iterable of ``(a, b)`` element references (Element, label or
+      index, resolved as by :func:`pivot_extend`): those pairs are put a
+      above b when encountered; unlisted pairs fall back to ``"low"``.
 
     Equal inputs produce identical traces and outputs.
     """
-    labels = r.labels
     if not isinstance(policy, str):
-        overrides = {(str(x), str(y)) for x, y in policy}
-        orient = lambda i, j: (j, i) if (labels[j], labels[i]) in overrides else (i, j)
+        overrides = {(r.index_of(x), r.index_of(y)) for x, y in policy}
+        orient = lambda i, j: (j, i) if (j, i) in overrides else (i, j)
     elif policy == "high":
         orient = lambda i, j: (j, i)
     elif policy == "low":
@@ -161,7 +161,7 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
     pairs = _incomparable(grid).nonzero()
     m = 2 * len(pairs[0])
     elems = r.elements
-    names = np.array(labels, dtype=object)
+    names = np.array(r.labels, dtype=object)
     trace: list[PivotStep] = []
     for ia, ib, rows, cols, old, new in _pivot_steps(grid, pairs, orient):
         xs, ys = (new > old).nonzero()

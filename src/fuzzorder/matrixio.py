@@ -125,7 +125,7 @@ def _parse_csv(text: str) -> FuzzyRelation:
                 raise ParseError(f"malformed number {cell!r}", i, j) from None
             row.append(_grade(value, cell, i, j))
         rows.append(row)
-    return FuzzyRelation(tuple(labels), rows)
+    return FuzzyRelation._on_carrier_of(tuple(labels), rows)
 
 
 def _parse_json(text: str) -> FuzzyRelation:
@@ -155,7 +155,7 @@ def _parse_json(text: str) -> FuzzyRelation:
                 raise ParseError(f"malformed number {cell!r}", i, j)
             parsed.append(_grade(cell, repr(cell), i, j))
         rows.append(parsed)
-    return FuzzyRelation(tuple(labels), rows)
+    return FuzzyRelation._on_carrier_of(tuple(labels), rows)
 
 
 def parse_matrix(text: str, fmt: str | None = None) -> FuzzyRelation:

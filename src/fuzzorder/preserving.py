@@ -19,14 +19,14 @@ at each pair pivots exactly the members for which that pair is still
 incomparable.  A member's incomparable pairs are a subset of r's, so every
 member meets its pivots in the order a linearization of it alone would.  The
 stack advances in consecutive slabs of members no larger than a fixed byte
-budget, so its memory does not grow with the number of members.  Equal
-members are merged, in order of first occurrence.
+budget, so its memory does not grow with the number of members.  The first
+member is r's own "low" linearization and the base of every clamp, so r is
+linearized once.  Equal members are merged, in order of first occurrence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -127,23 +127,19 @@ def clamp_extend(r: FuzzyRelation, a: ElementLike, b: ElementLike) -> ClampResul
             f"cannot preserve the grade of ({r.labels[ia]!r}, {r.labels[ib]!r}): it is 0",
         )
     base = FuzzyRelation._on_carrier_of(r, _linear_grid(r.grid))
-    s = base
-    if base.grid[ia, ib] != beta:
-        s = FuzzyRelation._on_carrier_of(r, _clamp(r.grid, base.grid, beta))
+    clamped = _clamp(r.grid, base.grid, ia, ib)
+    s = base if clamped is base.grid else FuzzyRelation._on_carrier_of(r, clamped)
     return ClampResult(s, beta, base, Pair(r.element(ia), r.element(ib)))
 
 
-def _clamp(grid: np.ndarray, base: np.ndarray, beta) -> np.ndarray:
-    # The clamp formula at level beta on a linear extension ``base`` of the
-    # order grid, unchecked.  It is used only where base falls off beta at
-    # the preserved pair; elsewhere the member is base itself.
+def _clamp(grid: np.ndarray, base: np.ndarray, i: int, j: int) -> np.ndarray:
+    # The member preserving the order grid's grade beta at (i, j), unchecked:
+    # the linear extension ``base`` itself if it already keeps beta there,
+    # else the clamp formula at level beta on base.
+    beta = grid[i, j]
+    if base[i, j] == beta:
+        return base
     return np.where(grid > beta, base, np.minimum(beta, base))
-
-
-def _positive_off_diagonal(r: FuzzyRelation) -> list[tuple[int, int]]:
-    pos = np.array(r.grid > 0.0)
-    np.fill_diagonal(pos, False)
-    return [(int(i), int(j)) for i, j in np.argwhere(pos)]
 
 
 # The stack's bound: one slab of orienting members holds at most this many
@@ -151,16 +147,12 @@ def _positive_off_diagonal(r: FuzzyRelation) -> list[tuple[int, int]]:
 _SLAB_BYTES = 2 << 20
 
 
-def _orienting_grids(grid: np.ndarray, pairs):
-    # The linearized grid of every orienting member, in member order: per
-    # incomparable pair (i, j) of ``pairs`` = _incomparable(grid).nonzero(),
-    # the member putting i above j and then the one putting j above i.  Each
-    # yielded grid is a view into one slab buffer that the next slab
-    # overwrites, so the caller copies what it keeps before asking for more.
-    first, second = pairs
-    tops = np.column_stack((first, second)).ravel()
-    bottoms = np.column_stack((second, first)).ravel()
-    cursor = list(zip(first.tolist(), second.tolist()))
+def _orienting_grids(grid: np.ndarray, pairs, tops, bottoms):
+    # The linearized grid of each orienting member k, putting tops[k] above
+    # bottoms[k], with ``pairs`` = _incomparable(grid).nonzero() as cursor.
+    # Each grid is a view into one slab buffer that the next slab overwrites,
+    # so the caller copies what it keeps before asking for more.
+    cursor = list(zip(pairs[0].tolist(), pairs[1].tolist()))
     buffer = np.empty((min(len(tops), max(1, _SLAB_BYTES // grid.nbytes)),) + grid.shape)
     for lo in range(0, len(tops), len(buffer)):
         a, b = tops[lo:lo + len(buffer)], bottoms[lo:lo + len(buffer)]
@@ -190,38 +182,38 @@ def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
     row-major order, pivots at each pair exactly the members for which the
     pair is still incomparable, so every member ends as the "low"
     linearization of its pivoted grid would.  The stack advances in slabs of
-    at most ``_SLAB_BYTES`` of grids.  Equal members are merged, in order
-    of first occurrence; ``built`` on the result counts them before the
-    merge.
+    at most ``_SLAB_BYTES`` of grids.  The first orienting member is r's own
+    "low" linearization and is the base of every clamp member.  Equal
+    members are merged, in order of first occurrence; ``built`` on the
+    result counts them before the merge.
     """
     if not _passes_order(r):
         raise PreconditionError("not-an-order", "certifying family requires a valid fuzzy order")
 
     labels = r.labels
-    positives = _positive_off_diagonal(r)
+    positive = r.grid > 0.0
+    np.fill_diagonal(positive, False)
+    positives = np.argwhere(positive).tolist()
     pairs = _incomparable(r.grid).nonzero()
     if not len(pairs[0]):
         tags = tuple(f"preserves({labels[i]},{labels[j]})" for i, j in positives)
         return ExtensionFamily((FamilyMember(r, tags),), built=1)
 
-    orienting = zip(
-        _orienting_grids(r.grid, pairs),
-        (f"orients({labels[a]},{labels[b]})" for i, j in zip(*pairs) for a, b in ((i, j), (j, i))),
-    )
-    base = _linear_grid(r.grid)
-    preserving = (
-        (
-            base if base[i, j] == r.grid[i, j] else _clamp(r.grid, base, r.grid[i, j]),
-            f"preserves({labels[i]},{labels[j]})",
-        )
-        for i, j in positives
-    )
-
+    # Member order: per incomparable pair (i, j), i above j, then j above i.
+    tops = np.column_stack(pairs).ravel()
+    bottoms = np.column_stack(pairs[::-1]).ravel()
     merged: dict[FuzzyRelation, list[str]] = {}
-    for grid, tag in chain(orienting, preserving):
+
+    def merge(grid, tag):
         merged.setdefault(FuzzyRelation._on_carrier_of(r, grid), []).append(tag)
+
+    for k, grid in enumerate(_orienting_grids(r.grid, pairs, tops, bottoms)):
+        merge(grid, f"orients({labels[tops[k]]},{labels[bottoms[k]]})")
+    base = next(iter(merged)).grid  # the first member: r's "low" linearization
+    for i, j in positives:
+        merge(_clamp(r.grid, base, i, j), f"preserves({labels[i]},{labels[j]})")
     members = tuple(FamilyMember(rel, tuple(tags)) for rel, tags in merged.items())
-    return ExtensionFamily(members, built=2 * len(pairs[0]) + len(positives))
+    return ExtensionFamily(members, built=len(tops) + len(positives))
 
 
 def verify_intersection(r: FuzzyRelation, family) -> Verdict:

@@ -177,21 +177,25 @@ class FuzzyRelation:
             raise ValueError("grades must be finite (no NaN or infinity)")
         if (grid < 0.0).any() or (grid > 1.0).any():
             raise ValueError("grades must lie in the closed interval [0, 1]")
-        self._freeze(labels, grid, {lbl: i for i, lbl in enumerate(labels)})
+        self._freeze(labels, grid)
 
-    def _freeze(self, labels, grid, pos):
+    def _freeze(self, labels, grid, pos=None):
         grid = grid + 0.0  # fresh array; also canonicalizes -0.0 to +0.0
         grid.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "_pos", pos or {lbl: i for i, lbl in enumerate(labels)})
 
     @classmethod
-    def _on_carrier_of(cls, r: "FuzzyRelation", grid: np.ndarray) -> "FuzzyRelation":
-        # A relation derived from r: it shares r's validated labels and index,
-        # and ``grid``, n x n floats made by min/max from r's, is not checked.
+    def _on_carrier_of(cls, carrier, grid) -> "FuzzyRelation":
+        # A relation on a validated carrier, with ``grid`` unchecked: either a
+        # relation r, sharing its labels and index, and a grid made by min/max
+        # from r's, or labels and n x n grades that a parser has checked.
         s = object.__new__(cls)
-        s._freeze(r.labels, grid, r._pos)
+        if isinstance(carrier, FuzzyRelation):
+            s._freeze(carrier.labels, grid, carrier._pos)
+        else:
+            s._freeze(carrier, np.asarray(grid, dtype=np.float64))
         return s
 
     # -- carrier ----------------------------------------------------------

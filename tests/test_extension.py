@@ -184,6 +184,24 @@ def test_explicit_policy_overrides_orientation(order3):
     assert check_order(result.relation).is_order and is_linear(result.relation)
 
 
+def test_override_policy_resolves_element_references(order3):
+    """Override pairs resolve like pivot_extend's arguments: labels, indices or Elements."""
+    by_label = linearize(order3, policy=[("b", "a")])
+    assert by_label.relation != linearize(order3).relation
+    b, a = order3.element("b"), order3.element("a")
+    for policy in ([(1, 0)], [(b, a)], [("b", 0)], [(np.int64(1), a)]):
+        result = linearize(order3, policy=policy)
+        assert result.relation == by_label.relation
+        assert result.trace == by_label.trace
+
+
+def test_override_policy_rejects_unknown_references(order3):
+    with pytest.raises(KeyError, match="zz"):
+        linearize(order3, policy=[("a", "zz")])
+    with pytest.raises(IndexError):
+        linearize(order3, policy=[(0, 3)])
+
+
 def test_unknown_policy_rejected(order3):
     with pytest.raises(ValueError, match="policy"):
         linearize(order3, policy="sideways")

@@ -13,6 +13,8 @@ from fuzzorder import (
     parse_matrix,
     random_zadeh_order,
 )
+from fuzzorder import matrixio
+from fuzzorder import relation as relation_module
 
 from conftest import (
     FIXTURES,
@@ -87,6 +89,23 @@ def test_parse_structural_errors():
         parse_matrix(",a,b\na,1\nb,0,1\n")
     with pytest.raises(ParseError, match="row label"):
         parse_matrix(",a,b\nb,1,0\na,0,1\n")
+
+
+@pytest.mark.parametrize("text", [
+    ORDER3_CSV, json.dumps({"elements": ORDER3_LABELS, "matrix": ORDER3_GRID}),
+], ids=["csv", "json"])
+def test_parse_runs_the_label_rule_once(monkeypatch, text):
+    """A parser builds its relation on the labels it checked; the rule runs once."""
+    calls = []
+    label_error = relation_module._label_error
+    counted = lambda labels: calls.append(tuple(labels)) or label_error(labels)
+    monkeypatch.setattr(relation_module, "_label_error", counted)
+    monkeypatch.setattr(matrixio, "_label_error", counted)
+    r = parse_matrix(text)
+    assert calls == [tuple(ORDER3_LABELS)]
+    monkeypatch.undo()
+    assert r == FuzzyRelation(ORDER3_LABELS, ORDER3_GRID)
+    assert r.index_of("c") == 2 and not r.grid.flags.writeable
 
 
 def test_parse_json_document():

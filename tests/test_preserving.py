@@ -22,6 +22,7 @@ from fuzzorder import (
     random_zadeh_order,
     verify_intersection,
 )
+from fuzzorder import extension as extension_module
 from fuzzorder import preserving
 from fuzzorder import relation as relation_module
 
@@ -228,8 +229,11 @@ def _block_sum(sizes, ordinal):
     return block_sum(blocks, ordinal)
 
 
+BLOCK_SIZES = [(7, 7), (12, 8), (12, 12), (10, 10, 10), (12, 12, 12)]
+
+
 @pytest.mark.parametrize("ordinal", [False, True])
-@pytest.mark.parametrize("sizes", [(7, 7), (12, 8), (12, 12), (10, 10, 10), (12, 12, 12)])
+@pytest.mark.parametrize("sizes", BLOCK_SIZES)
 def test_family_matches_reference_on_block_sums(sizes, ordinal):
     _assert_matches_reference(_block_sum(sizes, ordinal))
 
@@ -239,6 +243,41 @@ def test_family_block_sum_spans_several_slabs():
     r = _block_sum((12, 12, 12), ordinal=False)
     members = 2 * len(incomparable_pairs(r))
     assert members > 2 * (preserving._SLAB_BYTES // r.grid.nbytes)
+
+
+def _orders_with_an_incomparable_pair(order3, order4, order7):
+    sums = [_block_sum(sizes, ordinal) for sizes in BLOCK_SIZES for ordinal in (False, True)]
+    orders = [order3, order4, order7] + corpus(300, max_n=12) + sums
+    return [r for r in orders if not is_linear(r)]
+
+
+def test_family_first_member_is_the_low_linearization(order3, order4, order7):
+    """The first orienting member is r's own "low" linearization, the clamp base."""
+    for r in _orders_with_an_incomparable_pair(order3, order4, order7):
+        first = certifying_family(r).members[0]
+        pair = incomparable_pairs(r)[0]
+        assert first.relation == linearize(r).relation
+        assert first.tags[0] == f"orients({pair.first.label},{pair.second.label})"
+
+
+def test_family_linearizes_the_order_once(monkeypatch, order3, order4, order7):
+    """No separate base linearization: one incomparability mask per family."""
+    linear_grid, incomparable = preserving._linear_grid, preserving._incomparable
+    calls = {"linear_grid": 0, "incomparable": 0}
+
+    def counted(name, f):
+        def g(*args):
+            calls[name] += 1
+            return f(*args)
+        return g
+
+    monkeypatch.setattr(preserving, "_linear_grid", counted("linear_grid", linear_grid))
+    monkeypatch.setattr(preserving, "_incomparable", counted("incomparable", incomparable))
+    monkeypatch.setattr(extension_module, "_incomparable", counted("incomparable", incomparable))
+    orders = [r for r in [order3, order4, order7] + corpus(40, max_n=12) if not is_linear(r)]
+    for r in orders:
+        certifying_family(r)
+    assert calls == {"linear_grid": 0, "incomparable": len(orders)}
 
 
 def _derived_relations(r):
