@@ -13,13 +13,25 @@ the ordered incomparable entries of the input.
 The linearization loop makes one cursor pass over the input's incomparable
 pairs in row-major order, pivoting at each pair still incomparable when the
 cursor reaches it; this meets the pairs in the order a rescan from the start
-after every pivot would.  Each pivot reads and writes only the rows x with
-r(x, a) > 0 and the columns y with r(b, y) > 0, the only entries it can raise.
+after every pivot would.  The cursor moves in runs: consecutive pairs (a, j)
+with the same a that all put a on top (or all below, which is the same run
+on the transposed grid).  While a run puts a above its bottoms b_1, b_2, ...
+in turn, no pivot changes column a or any bottom's row, since every bottom
+b has r(b, a) = 0.  So the run as a whole is one update
+
+    r'(x, y) = max(r(x, y), min(r(x, a), max_t r(b_t, y)))
+
+of the rows x with r(x, a) > 0, and its pivots are the pairs still
+incomparable when reached: b is skipped iff r(a, b) > 0 or r(b, a) > 0 when
+the run starts, or an earlier pivot's bottom b' has r(b', b) > 0.  Every
+pivot's trace comes from the run's one block, so a run of any length costs
+one vectorized update and one vectorized trace pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Union
 
 import numpy as np
@@ -99,31 +111,103 @@ def pivot_extend(r: FuzzyRelation, a: ElementLike, b: ElementLike) -> FuzzyRelat
     return FuzzyRelation._on_carrier_of(r, _pivot_grid(r.grid, ia, ib))
 
 
-def _pivot_steps(g: np.ndarray, pairs, orient=lambda i, j: (i, j)):
+# The byte budget of one slab of temporaries: of a run's trace test here, and
+# of the certifying family's stacked member grids, so that the family of any
+# order with n <= 22 fits in one slab.
+_SLAB_BYTES = 2 << 20
+
+
+def _runs(g, pairs, flips=None):
     # The linearization loop described above, unchecked, in place on the
     # writable order grid g.  ``pairs`` = _incomparable(g).nonzero(): g's
-    # incomparable pairs in row-major order, as index arrays of i and of j.
-    # min(g[x, a], g[b, y]) is 0 outside the rows and columns taken below.
-    # Yields (a, b, rows, cols, block before, block after) per pivot.
+    # incomparable pairs in row-major order, as index arrays of i and of j;
+    # ``flips`` marks the pairs whose pivot puts j above i (None: none does).
+    # Consecutive pairs (i, j) with the same i and flip form a run, which puts
+    # a = i above each of its bottoms j in turn in h = g, or in h = g.T when
+    # flipped.  Yields (flipped, a, bottoms, rows, c, cols, bottoms' rows,
+    # block before, block after) per run that pivots, where the block is
+    # h[rows][:, cols] and c = h[rows, a].
     first, second = pairs
-    for i, j in zip(first.tolist(), second.tolist()):
-        if g[i, j] or g[j, i]:
+    key = first if flips is None else 2 * first + flips
+    starts = [0, *((key[1:] != key[:-1]).nonzero()[0] + 1).tolist()] if len(key) else []
+    heads = first[starts].tolist()
+    turns = [False] * len(starts) if flips is None else flips[starts].tolist()
+    for s, e, a, flipped in zip(starts, starts[1:] + [len(key)], heads, turns):
+        h = g.T if flipped else g
+        col = h[:, a]
+        # Pair (a, j) is still incomparable iff both its grades are 0; an
+        # order has at most one of them positive, so iff they are equal.
+        bottoms = second[s:e]
+        bottoms = bottoms[h[a, bottoms] == col[bottoms]]
+        if not len(bottoms):
             continue
-        ia, ib = orient(i, j)
-        rows, cols = g[:, ia].nonzero()[0], g[ib].nonzero()[0]
-        block = g[rows[:, None], cols]
-        new = np.minimum.outer(g[rows, ia], g[ib, cols])
+        below = h[bottoms]
+        if len(bottoms) > 1:
+            # Column a and the bottoms' rows stay as they are all run long,
+            # so a pivot at j' makes every later j with h[j', j] > 0
+            # comparable to a: j is pivoted iff no earlier free j' does so
+            # (by transitivity, one that was skipped would pass it on).
+            later = np.logical_or.accumulate(below[:, bottoms] > 0.0).diagonal(1)
+            keep = np.ones(len(bottoms), dtype=bool)
+            np.logical_not(later, out=keep[1:])
+            bottoms, below = bottoms[keep], below[keep]
+        rows = col.nonzero()[0]
+        c = col[rows]
+        top = below[0] if len(below) == 1 else np.maximum.reduce(below)
+        # h[x, y] >= min(c_x, h[a, y]), so only columns y with
+        # top[y] > h[a, y] can rise.
+        cols = (top > h[a]).nonzero()[0]
+        at = rows[:, None]
+        block = h[at, cols]
+        new = np.minimum.outer(c, top[cols])
         np.maximum(new, block, out=new)
-        g[rows[:, None], cols] = new
-        yield ia, ib, rows, cols, block, new
+        h[at, cols] = new
+        yield flipped, a, bottoms, rows, c, cols, below, block, new
 
 
 def _linear_grid(grid: np.ndarray) -> np.ndarray:
     # The "low"-policy linear extension of an order's grid, unchecked, untraced.
     g = np.array(grid)
-    for _ in _pivot_steps(g, _incomparable(g).nonzero()):
+    for _ in _runs(g, _incomparable(g).nonzero()):
         pass
     return g
+
+
+def _raised(flipped, rows, c, cols, below, block, new):
+    # The entries one run of _runs raises, in trace order: pivot by pivot,
+    # row-major within a pivot, in g's coordinates.  Returns each pivot's
+    # count of them and a list of (x, y, old, new) arrays.  Pivot t raises
+    # (x, y) iff min(c_x, V_t[y]) > max(P[y], block[x, y]), where V_t is
+    # bottom t's row and P the max of the rows before it; the two sides are
+    # the new grade and the old one.  Only the entries the run raises at all
+    # are tested, for slabs of pivots whose temporaries fit in _SLAB_BYTES
+    # (one pivot at least, whose temporaries are no larger than the block).
+    up = new > block
+    if flipped:
+        ys, xs = up.T.nonzero()
+    else:
+        xs, ys = up.nonzero()
+    x, y = rows[xs], cols[ys]
+    if flipped:
+        x, y = y, x
+    if len(below) == 1:
+        return [len(xs)], [(x, y, block[xs, ys], new[xs, ys])]
+    base, cx, cy = block[xs, ys], c[xs], cols[ys]
+    counts, parts = [], []
+    seen = np.zeros(len(xs))  # P at the slab's first pivot
+    height = max(1, _SLAB_BYTES // (8 * len(xs)))
+    for lo in range(0, len(below), height):
+        v = below[lo:lo + height, cy]
+        p = np.empty_like(v)
+        p[0], p[1:] = seen, v[:-1]
+        np.maximum.accumulate(p, out=p)
+        seen = np.maximum(p[-1], v[-1])
+        np.maximum(p, base, out=p)
+        np.minimum(v, cx, out=v)
+        ts, us = (v > p).nonzero()
+        counts += np.bincount(ts, minlength=len(v)).tolist()
+        parts.append((x[us], y[us], p[ts, us], v[ts, us]))
+    return counts, parts
 
 
 def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationResult:
@@ -132,9 +216,8 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
     Walks the input's incomparable unordered pairs (i, j), i < j, once in
     row-major order and pivots at each one that is still incomparable (a
     pivot can make later pairs comparable as a side effect); this is the
-    pair a rescan from the start would find.  Each pivot updates only the
-    block of entries it can raise.  The orientation of each pivot is fixed
-    by ``policy``:
+    pair a rescan from the start would find.  The orientation of each pivot
+    is fixed by ``policy``:
 
     * ``"low"`` (default): the lower-indexed element goes on top.
     * ``"high"``: the higher-indexed element goes on top.
@@ -142,37 +225,57 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
       index, resolved as by :func:`pivot_extend`): those pairs are put a
       above b when encountered; unlisted pairs fall back to ``"low"``.
 
+    The pairs are taken in runs: consecutive pairs (i, j) with the same i
+    whose pivots all put i on top, or all put it below.  No pivot of a run
+    changes i's column or the row of any of the run's other elements, so
+    each run is applied as one grid update, which raises (x, y) to the min
+    of r(x, i) and the max of those elements' grades at y wherever that is
+    higher (with rows and columns swapped when i goes below).  Each pivot's
+    trace is read from that update, and grid, trace and k are those of
+    pivoting one pair at a time.
+
     Equal inputs produce identical traces and outputs.
     """
-    if not isinstance(policy, str):
-        overrides = {(r.index_of(x), r.index_of(y)) for x, y in policy}
-        orient = lambda i, j: (j, i) if (j, i) in overrides else (i, j)
-    elif policy == "high":
-        orient = lambda i, j: (j, i)
-    elif policy == "low":
-        orient = lambda i, j: (i, j)
+    if isinstance(policy, str):
+        if policy not in ("low", "high"):
+            raise ValueError(f"unknown pivot policy {policy!r}")
     else:
-        raise ValueError(f"unknown pivot policy {policy!r}")
+        above = np.zeros((r.n, r.n), dtype=bool)
+        for x, y in policy:
+            above[r.index_of(x), r.index_of(y)] = True
 
     if not _passes_order(r):
         raise PreconditionError("not-an-order", "linearize requires a valid fuzzy order")
 
     grid = np.array(r.grid)
     pairs = _incomparable(grid).nonzero()
-    m = 2 * len(pairs[0])
-    elems = r.elements
-    names = np.array(r.labels, dtype=object)
-    trace: list[PivotStep] = []
-    for ia, ib, rows, cols, old, new in _pivot_steps(grid, pairs, orient):
-        xs, ys = (new > old).nonzero()
-        raised = tuple(zip(
-            zip(names[rows[xs]].tolist(), names[cols[ys]].tolist()),
-            old[xs, ys].tolist(),
-            new[xs, ys].tolist(),
-        ))
-        trace.append(PivotStep(elems[ia], elems[ib], len(trace) + 1, raised))
+    if not isinstance(policy, str):
+        flips = above[pairs[1], pairs[0]]
+    elif policy == "high":
+        flips = np.ones(len(pairs[0]), dtype=bool)
+    else:
+        flips = None
+    tops, bottoms, counts, parts = [], [], [], []
+    for flipped, a, pivots, *run in _runs(grid, pairs, flips):
+        sizes, entries = _raised(flipped, *run)
+        counts += sizes
+        parts += entries
+        pivots = pivots.tolist()
+        tops += pivots if flipped else [a] * len(pivots)
+        bottoms += [a] * len(pivots) if flipped else pivots
+    trace: tuple[PivotStep, ...] = ()
+    if tops:
+        xs, ys, old, new = (np.concatenate(p) for p in zip(*parts))
+        names = np.array(r.labels, dtype=object)
+        raised = list(zip(zip(names[xs].tolist(), names[ys].tolist()), old.tolist(), new.tolist()))
+        ends = list(accumulate(counts))
+        elems = r.elements
+        trace = tuple(
+            PivotStep(elems[a], elems[b], k + 1, tuple(raised[lo:hi]))
+            for k, (a, b, lo, hi) in enumerate(zip(tops, bottoms, [0] + ends, ends))
+        )
     relation = FuzzyRelation._on_carrier_of(r, grid)
-    return LinearizationResult(relation, tuple(trace), len(trace), m)
+    return LinearizationResult(relation, trace, len(tops), 2 * len(pairs[0]))
 
 
 def count_incomparable_entries(r: FuzzyRelation) -> int:

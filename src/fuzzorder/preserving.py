@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extension import _linear_grid
+from .extension import _SLAB_BYTES, _linear_grid
 from .relation import (
     CarrierMismatchError,
     ElementLike,
@@ -142,11 +142,6 @@ def _clamp(grid: np.ndarray, base: np.ndarray, i: int, j: int) -> np.ndarray:
     return np.where(grid > beta, base, np.minimum(beta, base))
 
 
-# The stack's bound: one slab of orienting members holds at most this many
-# bytes of grids, so the family of any order with n <= 22 fits in one slab.
-_SLAB_BYTES = 2 << 20
-
-
 def _orienting_grids(grid: np.ndarray, pairs, tops, bottoms):
     # The linearized grid of each orienting member k, putting tops[k] above
     # bottoms[k], with ``pairs`` = _incomparable(grid).nonzero() as cursor.
@@ -209,9 +204,16 @@ def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
 
     for k, grid in enumerate(_orienting_grids(r.grid, pairs, tops, bottoms)):
         merge(grid, f"orients({labels[tops[k]]},{labels[bottoms[k]]})")
-    base = next(iter(merged)).grid  # the first member: r's "low" linearization
+    # The first member is r's "low" linearization.  A clamp that is that base
+    # joins its tags directly; any other clamp differs from it at (i, j).
+    base, base_tags = next(iter(merged.items()))
     for i, j in positives:
-        merge(_clamp(r.grid, base, i, j), f"preserves({labels[i]},{labels[j]})")
+        tag = f"preserves({labels[i]},{labels[j]})"
+        clamped = _clamp(r.grid, base.grid, i, j)
+        if clamped is base.grid:
+            base_tags.append(tag)
+        else:
+            merge(clamped, tag)
     members = tuple(FamilyMember(rel, tuple(tags)) for rel, tags in merged.items())
     return ExtensionFamily(members, built=len(tops) + len(positives))
 

@@ -16,7 +16,8 @@ from fuzzorder import (
     random_zadeh_order,
 )
 
-from fuzzorder.extension import _linear_grid, _pivot_grid
+from fuzzorder import extension
+from fuzzorder.extension import _linear_grid, _pivot_grid, _runs
 from fuzzorder.relation import _incomparable
 
 from conftest import (
@@ -233,15 +234,28 @@ def _policies(r):
     ]
 
 
+def _random_flips(r, seed):
+    # An override list flipping each incomparable pair with probability 1/2,
+    # and its orientation for the rescan
+    coins = np.random.default_rng(seed).random(r.n * r.n) < 0.5
+    flipped = {(j, i) for i, j in np.argwhere(_incomparable(r.grid)).tolist() if coins[i * r.n + j]}
+    overrides = [(r.labels[a], r.labels[b]) for a, b in sorted(flipped)]
+    return overrides, lambda i, j: (j, i) if (j, i) in flipped else (i, j)
+
+
+def _assert_policy_matches_rescan(r, policy, orient):
+    result = linearize(r, policy)
+    grid, steps = rescan_linearization(r.grid, r.labels, orient)
+    assert result.relation.grid.tobytes() == grid.tobytes()
+    assert [(s.a.index, s.b.index, s.entries_raised) for s in result.trace] == steps
+    assert [s.step_index for s in result.trace] == list(range(1, len(steps) + 1))
+    assert result.k == len(steps)
+    assert result.m == int(((r.grid == 0.0) & (r.grid.T == 0.0)).sum())  # unit diagonal
+
+
 def _assert_matches_rescan(r):
     for policy, orient in _policies(r):
-        result = linearize(r, policy)
-        grid, steps = rescan_linearization(r.grid, r.labels, orient)
-        assert result.relation.grid.tobytes() == grid.tobytes()
-        assert [(s.a.index, s.b.index, s.entries_raised) for s in result.trace] == steps
-        assert [s.step_index for s in result.trace] == list(range(1, len(steps) + 1))
-        assert result.k == len(steps)
-        assert result.m == int(((r.grid == 0.0) & (r.grid.T == 0.0)).sum())  # unit diagonal
+        _assert_policy_matches_rescan(r, policy, orient)
 
 
 GOLDENS = [(ORDER3_LABELS, ORDER3_GRID), (ORDER4_LABELS, ORDER4_GRID), (ORDER7_LABELS, ORDER7_GRID)]
@@ -257,15 +271,52 @@ def test_linearize_matches_rescan_on_corpus():
         _assert_matches_rescan(r)
 
 
-@pytest.mark.parametrize("ordinal", [False, True])
-@pytest.mark.parametrize("sizes", [(5, 7), (12, 12, 12, 12), (12,) * 8])
-def test_linearize_matches_rescan_on_block_sums(sizes, ordinal):
+def _block_sum(sizes, ordinal):
     densities = (0.2, 0.45, 0.7)
     blocks = [
         random_zadeh_order(GeneratorSpec(n=n, density=densities[k % 3], seed=500 + k))
         for k, n in enumerate(sizes)
     ]
-    _assert_matches_rescan(block_sum(blocks, ordinal))
+    return block_sum(blocks, ordinal)
+
+
+BLOCK_SIZES = [(5, 7), (12, 12, 12, 12), (12,) * 8]
+
+
+@pytest.mark.parametrize("ordinal", [False, True])
+@pytest.mark.parametrize("sizes", BLOCK_SIZES)
+def test_linearize_matches_rescan_on_block_sums(sizes, ordinal):
+    _assert_matches_rescan(_block_sum(sizes, ordinal))
+
+
+def test_linearize_matches_rescan_under_random_flips_on_corpus():
+    """Flipping pairs at random splits the cursor's runs at arbitrary points."""
+    for k, r in enumerate(corpus(300, max_n=12)):
+        _assert_policy_matches_rescan(r, *_random_flips(r, seed=k))
+
+
+@pytest.mark.parametrize("ordinal", [False, True])
+@pytest.mark.parametrize("sizes", BLOCK_SIZES)
+def test_linearize_matches_rescan_under_random_flips_on_block_sums(sizes, ordinal):
+    r = _block_sum(sizes, ordinal)
+    for seed in (1, 2):
+        _assert_policy_matches_rescan(r, *_random_flips(r, seed))
+
+
+@pytest.mark.parametrize("ordinal", [False, True])
+def test_linearize_matches_rescan_with_tiny_trace_slabs(monkeypatch, ordinal):
+    """The trace test of a long run, split into slabs of a few entries each."""
+    monkeypatch.setattr(extension, "_SLAB_BYTES", 300)
+    _assert_matches_rescan(_block_sum((12,) * 8, ordinal))
+
+
+def test_runs_batch_the_pivots_of_a_disjoint_sum():
+    """One grid update per cursor run: at most n - 1 of them for hundreds of pivots."""
+    r = _block_sum((12,) * 8, ordinal=False)
+    g = np.array(r.grid)
+    updates = sum(1 for _ in _runs(g, _incomparable(g).nonzero()))
+    assert updates <= r.n - 1
+    assert linearize(r).k >= 200
 
 
 def test_linear_grid_matches_rescan_on_order7_orienting_grids(order7):
@@ -273,6 +324,13 @@ def test_linear_grid_matches_rescan_on_order7_orienting_grids(order7):
         for a, b in ((i, j), (j, i)):
             pre = _pivot_grid(order7.grid, a, b)
             assert _linear_grid(pre).tobytes() == rescan_linearization(pre)[0].tobytes()
+
+
+@pytest.mark.parametrize("ordinal", [False, True])
+@pytest.mark.parametrize("sizes", BLOCK_SIZES)
+def test_linear_grid_matches_rescan_on_block_sums(sizes, ordinal):
+    r = _block_sum(sizes, ordinal)
+    assert _linear_grid(r.grid).tobytes() == rescan_linearization(r.grid)[0].tobytes()
 
 
 # ---------------------------------------------------------------- counting

@@ -280,6 +280,33 @@ def test_family_linearizes_the_order_once(monkeypatch, order3, order4, order7):
     assert calls == {"linear_grid": 0, "incomparable": len(orders)}
 
 
+def test_family_builds_a_relation_only_for_members_other_than_the_base(
+    monkeypatch, order3, order4, order7
+):
+    """A clamp member that is the base linearization joins its tags without a new relation."""
+    orders = [r for r in [order3, order4, order7] + corpus(40, max_n=12) if not is_linear(r)]
+    expected = []
+    for r in orders:
+        base = linearize(r).relation.grid
+        positive = (r.grid > 0.0) & ~np.eye(r.n, dtype=bool)
+        clamps = int((positive & (base != r.grid)).sum())  # the clamps that differ from the base
+        expected.append(2 * len(incomparable_pairs(r)) + clamps)
+    on_carrier_of = FuzzyRelation._on_carrier_of.__func__
+    calls = []
+
+    def counted(cls, carrier, grid):
+        calls.append(carrier)
+        return on_carrier_of(cls, carrier, grid)
+
+    monkeypatch.setattr(FuzzyRelation, "_on_carrier_of", classmethod(counted))
+    counts = []
+    for r in orders:
+        calls.clear()
+        certifying_family(r)
+        counts.append(len(calls))
+    assert counts == expected
+
+
 def _derived_relations(r):
     """Every relation the library derives from the order r, one call at a time."""
     yield linearize(r).relation
