@@ -14,6 +14,7 @@ timing}.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -28,13 +29,14 @@ from .matrixio import (
     emit_matrix,
     format_for_path,
     load_matrix,
+    parse_matrix,
     save_matrix,
 )
 from .oracle import GeneratorSpec, random_zadeh_order
 from .preserving import certifying_family, clamp_extend, verify_intersection
 from .relation import (
-    CarrierMismatchError,
     EmptyFamilyError,
+    FuzzyOrderError,
     PreconditionError,
     check_order,
     is_linear,
@@ -44,61 +46,52 @@ __all__ = ["build_parser", "main", "run_command"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser; each command is declared once, with its flags and handler."""
     parser = argparse.ArgumentParser(
         prog="fuzzorder",
         description="Check, linearize, and certify fuzzy orders stored as matrix files.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, output=True):
+    def flag(*names, **options):
+        return names, options
+
+    def command(name, handler, help, *flags, file=True,
+                output="write the resulting matrix here"):
+        # ``flags`` come from ``flag``; ``output`` is the help of -o, or None
+        # for a command that writes no matrix.
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if file:
+            p.add_argument("file")
+        for names, options in flags:
+            p.add_argument(*names, **options)
         p.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
         if output:
-            p.add_argument("-o", "--output", help="write the resulting matrix here")
+            p.add_argument("-o", "--output", help=output)
             p.add_argument(
                 "--format", choices=("csv", "json"), help="output format (default: input format)"
             )
 
-    p = sub.add_parser("check", help="validate the order axioms and linearity")
-    p.add_argument("file")
-    add_common(p, output=False)
-
-    p = sub.add_parser("linearize", help="extend an order to a linear one")
-    p.add_argument("file")
-    p.add_argument("--trace", action="store_true", help="list every pivot and raised entry")
-    p.add_argument("--policy", choices=("low", "high"), default="low",
-                   help="pivot orientation (default: low index on top)")
-    add_common(p)
-
-    p = sub.add_parser("pivot", help="apply one pivot extension")
-    p.add_argument("file")
-    p.add_argument("--a", required=True, help="label of the element to put on top")
-    p.add_argument("--b", required=True, help="label of the element placed below")
-    add_common(p)
-
-    p = sub.add_parser("clamp", help="linear extension preserving the grade at (a, b)")
-    p.add_argument("file")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    add_common(p)
-
-    p = sub.add_parser("family", help="build the certifying family of linear extensions")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", help="directory to write the members into")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("verify", help="check that a family's infimum rebuilds the order")
-    p.add_argument("file")
-    p.add_argument("--family", required=True, dest="family_dir",
-                   help="directory of member matrices (as written by `family -o`)")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("gen", help="generate a reproducible random order")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--density", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    add_common(p)
-
+    command("check", _cmd_check, "validate the order axioms and linearity", output=None)
+    command("linearize", _cmd_linearize, "extend an order to a linear one",
+            flag("--trace", action="store_true", help="list every pivot and raised entry"),
+            flag("--policy", choices=("low", "high"), default="low",
+                 help="pivot orientation (default: low index on top)"))
+    command("pivot", _cmd_pivot, "apply one pivot extension",
+            flag("--a", required=True, help="label of the element to put on top"),
+            flag("--b", required=True, help="label of the element placed below"))
+    command("clamp", _cmd_clamp, "linear extension preserving the grade at (a, b)",
+            flag("--a", required=True), flag("--b", required=True))
+    command("family", _cmd_family, "build the certifying family of linear extensions",
+            output="directory to write the members into")
+    command("verify", _cmd_verify, "check that a family's infimum rebuilds the order",
+            flag("--family", required=True, dest="family_dir",
+                 help="directory of member matrices (as written by `family -o`)"),
+            output=None)
+    command("gen", _cmd_gen, "generate a reproducible random order",
+            flag("--n", type=int, required=True), flag("--density", type=float, required=True),
+            flag("--seed", type=int, required=True), file=False)
     return parser
 
 
@@ -271,7 +264,14 @@ def _read_family_dir(directory: Path):
         ]
     if not paths:
         raise EmptyFamilyError(f"no family members found in {directory}")
-    return [load_matrix(p)[0] for p in paths]
+    members = []
+    for path in paths:
+        text = _read_text(path)  # a non-UTF-8 error names the path already
+        try:
+            members.append(parse_matrix(text))
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    return members
 
 
 def _cmd_verify(args, report):
@@ -299,22 +299,13 @@ def _cmd_gen(args, report):
     return 0, info
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "linearize": _cmd_linearize,
-    "pivot": _cmd_pivot,
-    "clamp": _cmd_clamp,
-    "family": _cmd_family,
-    "verify": _cmd_verify,
-    "gen": _cmd_gen,
-}
+_parser = functools.cache(build_parser)  # built on first use, not at import
 
 
 def run_command(argv: list[str]) -> int:
     """Dispatch one command line; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -329,17 +320,11 @@ def run_command(argv: list[str]) -> int:
     }
     started = time.perf_counter()
     try:
-        code, info = _HANDLERS[args.command](args, report)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, CarrierMismatchError, EmptyFamilyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, KeyError, ValueError) as exc:
+        code, info = args.handler(args, report)
+    except (FuzzyOrderError, OSError, KeyError, ValueError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, PreconditionError) else 2
     report["timing"] = time.perf_counter() - started
 
     if args.json:
@@ -356,3 +341,7 @@ def run_command(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

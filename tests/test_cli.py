@@ -1,12 +1,17 @@
 """Exit-code contract and report schema for the command-line surface."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fuzzorder
 from fuzzorder import linearize, parse_matrix
-from fuzzorder.cli import run_command
+from fuzzorder.cli import build_parser, run_command
 
 from conftest import FIXTURES
 
@@ -188,6 +193,20 @@ def test_non_utf8_files_exit_two_naming_the_file(tmp_path, capsys):
     assert f"{fam_dir / 'family.json'}: not UTF-8 text" in capsys.readouterr().err
 
 
+def test_verify_member_parse_errors_name_the_member(tmp_path, capsys):
+    fam_dir = tmp_path / "fam"
+    fam_dir.mkdir()
+    short = fam_dir / "member_000.csv"
+    short.write_text(",a,b,c\na,1,0,0.4\nb,0,1\nc,0,0,1\n", encoding="utf-8")
+    assert run_command(["verify", ORDER3, "--family", str(fam_dir)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {short.resolve()}: expected 4 cells, got 3 (row 3, column 4)" in err
+    short.write_bytes(b",a\na,1\xff\n")
+    assert run_command(["verify", ORDER3, "--family", str(fam_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {short.resolve()}: not UTF-8 text: byte 0xff at offset 6\n"
+
+
 def test_verify_manifest_entry_outside_directory_exits_two(tmp_path, capsys):
     # x.csv is the order itself, so reading it would make the family verify.
     (tmp_path / "x.csv").write_text(Path(ORDER3).read_text(encoding="utf-8"), encoding="utf-8")
@@ -276,6 +295,52 @@ def test_malformed_file_exits_two(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text(",a\na,1.5\n", encoding="utf-8")
     assert run_command(["check", str(bad)]) == 2
+
+
+def test_module_runs_as_a_script(corrupted_file):
+    src = str(Path(fuzzorder.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "fuzzorder.cli", "check", corrupted_file],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stdout.startswith("Zadeh fuzzy order: no; linear: ")
+    assert "antisymmetry violated at {a,b}" in done.stdout
+
+
+def test_run_command_builds_one_parser_per_process(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(10):
+        assert run_command(["check", ORDER3]) == 0
+    assert len(built) <= 8  # one parser and its seven subparsers
+    assert build_parser() is not build_parser()
+
+
+COMMAND_ARGS = {
+    "check": ["f"],
+    "linearize": ["f"],
+    "pivot": ["f", "--a", "x", "--b", "y"],
+    "clamp": ["f", "--a", "x", "--b", "y"],
+    "family": ["f"],
+    "verify": ["f", "--family", "d"],
+    "gen": ["--n", "3", "--density", "0.5", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("name", COMMAND_ARGS)
+def test_every_command_parses_to_a_handler_and_accepts_json(name):
+    args = build_parser().parse_args([name, *COMMAND_ARGS[name], "--json"])
+    assert args.command == name and args.json
+    assert callable(args.handler)
 
 
 @pytest.mark.parametrize(
