@@ -30,7 +30,8 @@ one vectorized update and one vectorized trace pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Union
 
@@ -56,19 +57,68 @@ __all__ = [
 PivotPolicy = Union[str, Iterable[tuple[ElementLike, ElementLike]]]
 
 
-@dataclass(frozen=True)
 class PivotStep:
     """One application of the pivot formula inside a linearization run.
 
     ``entries_raised`` records every strictly increased entry as
     ``((x_label, y_label), old, new)``, in row-major order.  The pivot pair
-    itself appears here as ``((a, b), 0.0, 1.0)``.
+    itself appears here as ``((a, b), 0.0, 1.0)``.  A step from
+    :func:`linearize` builds these tuples on first read and keeps them.
+    Steps are immutable and compare, hash and print by
+    ``(a, b, step_index, entries_raised)``, as a dataclass would.
     """
 
     a: Element
     b: Element
     step_index: int
-    entries_raised: tuple[tuple[tuple[str, str], float, float], ...]
+
+    def __init__(
+        self,
+        a: Element,
+        b: Element,
+        step_index: int,
+        entries_raised: tuple[tuple[tuple[str, str], float, float], ...],
+    ):
+        fields = {"a": a, "b": b, "step_index": step_index, "entries_raised": entries_raised}
+        object.__setattr__(self, "__dict__", fields)
+
+    @classmethod
+    def _from_raised(cls, a, b, step_index, raised, span) -> "PivotStep":
+        # A step whose entries are raised[span], built on first read.
+        step = object.__new__(cls)
+        fields = {"a": a, "b": b, "step_index": step_index, "_span": (raised, span)}
+        object.__setattr__(step, "__dict__", fields)
+        return step
+
+    @cached_property
+    def entries_raised(self) -> tuple[tuple[tuple[str, str], float, float], ...]:
+        # Runs only for a step made by _from_raised; any other step holds its
+        # tuple in the instance dict, which this property does not override.
+        raised, span = self.__dict__.pop("_span")
+        return raised[span]
+
+    def _fields(self):
+        return self.a, self.b, self.step_index, self.entries_raised
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"PivotStep(a={self.a!r}, b={self.b!r}, step_index={self.step_index!r}, "
+            f"entries_raised={self.entries_raised!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @dataclass(frozen=True)
@@ -210,6 +260,28 @@ def _raised(flipped, rows, c, cols, below, block, new):
     return counts, parts
 
 
+def _entry_tuples(labels, xs, ys, old, new) -> list:
+    # The trace tuples ((x_label, y_label), old, new) of raised entries given
+    # as index arrays x, y into the carrier's labels and grade arrays old, new.
+    names = np.array(labels, dtype=object)
+    return list(zip(zip(names[xs].tolist(), names[ys].tolist()), old.tolist(), new.tolist()))
+
+
+class _RaisedEntries:
+    # The entries one linearization raised, in trace order, as the arrays
+    # _entry_tuples takes.  The first read of any step's entries builds the
+    # tuples of all of them, since a caller who reads one step's entries
+    # tends to read every step's.
+    def __init__(self, labels, arrays):
+        self._labels, self._arrays, self._tuples = labels, arrays, None
+
+    def __getitem__(self, span: slice) -> tuple:
+        if self._tuples is None:
+            self._tuples = _entry_tuples(self._labels, *self._arrays)
+            self._arrays = None
+        return tuple(self._tuples[span])
+
+
 def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationResult:
     """Extend an order to a linear one by repeated pivoting.
 
@@ -232,7 +304,12 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
     of r(x, i) and the max of those elements' grades at y wherever that is
     higher (with rows and columns swapped when i goes below).  Each pivot's
     trace is read from that update, and grid, trace and k are those of
-    pivoting one pair at a time.
+    pivoting one pair at a time.  The trace keeps the raised entries as
+    arrays; the ``entries_raised`` tuples of every step are built the first
+    time any step's are read, so a caller who reads only k, m and the
+    pivots never pays for them.  The order precondition reads a verdict
+    that :func:`~fuzzorder.check_order` recorded on ``r`` instead of checking
+    again.
 
     Equal inputs produce identical traces and outputs.
     """
@@ -265,13 +342,11 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
         bottoms += [a] * len(pivots) if flipped else pivots
     trace: tuple[PivotStep, ...] = ()
     if tops:
-        xs, ys, old, new = (np.concatenate(p) for p in zip(*parts))
-        names = np.array(r.labels, dtype=object)
-        raised = list(zip(zip(names[xs].tolist(), names[ys].tolist()), old.tolist(), new.tolist()))
+        raised = _RaisedEntries(r.labels, [np.concatenate(p) for p in zip(*parts)])
         ends = list(accumulate(counts))
-        elems = r.elements
+        elems, step = r.elements, PivotStep._from_raised
         trace = tuple(
-            PivotStep(elems[a], elems[b], k + 1, tuple(raised[lo:hi]))
+            step(elems[a], elems[b], k + 1, raised, slice(lo, hi))
             for k, (a, b, lo, hi) in enumerate(zip(tops, bottoms, [0] + ends, ends))
         )
     relation = FuzzyRelation._on_carrier_of(r, grid)

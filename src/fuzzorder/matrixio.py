@@ -74,7 +74,17 @@ def _read_json(text: str, name: str = ""):
         raise ParseError(f"{name}invalid JSON: arrays or objects nested too deeply") from None
 
 
+def _ascii_float(cell: str) -> float:
+    # float() also reads "_" between digits and non-ASCII digits such as
+    # "٠.٥"; a JSON number holds neither, and neither may a CSV grade cell.
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(cell)
+    return float(cell)
+
+
 def _parse_csv(text: str) -> FuzzyRelation:
+    # A document with neither kind of character reads its cells with float().
+    number = float if text.isascii() and "_" not in text else _ascii_float
     reader = csv.reader(io.StringIO(text))
     try:
         lines = list(reader)
@@ -120,7 +130,7 @@ def _parse_csv(text: str) -> FuzzyRelation:
         row = []
         for j, cell in enumerate(cells[1:], start=2):
             try:
-                value = float(cell)
+                value = number(cell)
             except ValueError:
                 raise ParseError(f"malformed number {cell!r}", i, j) from None
             row.append(_grade(value, cell, i, j))

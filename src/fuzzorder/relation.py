@@ -154,7 +154,8 @@ class FuzzyRelation:
     universal newlines turn into a line feed) and the grid (square, finite,
     every entry in [0, 1]) and freezes both; operations never mutate a
     relation, they build new ones on their input's already validated
-    carrier.
+    carrier.  The one thing kept on a relation after construction is the
+    order verdict of its last check (see :func:`check_order`).
     """
 
     labels: tuple[str, ...]
@@ -185,6 +186,9 @@ class FuzzyRelation:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "_pos", pos or {lbl: i for i, lbl in enumerate(labels)})
+        # The order verdict of the last check of this relation (None: none
+        # yet); see check_order.
+        object.__setattr__(self, "_is_order", None)
 
     @classmethod
     def _on_carrier_of(cls, carrier, grid) -> "FuzzyRelation":
@@ -320,11 +324,20 @@ def is_transitive(r: FuzzyRelation) -> Verdict:
 
 
 def check_order(r: FuzzyRelation) -> AxiomReport:
-    """Check all three order axioms and collect every violation."""
+    """Check all three order axioms and collect every violation.
+
+    Every call runs the full check.  It also records the verdict on ``r``,
+    which is immutable, so that the order precondition of a later
+    operation on ``r`` (:func:`~fuzzorder.linearize`,
+    :func:`~fuzzorder.pivot_extend`, :func:`~fuzzorder.clamp_extend`,
+    :func:`~fuzzorder.certifying_family`) reads it instead of checking
+    again.  Only a check records a verdict; a relation derived from ``r``
+    starts without one.
+    """
     refl = is_reflexive(r)
     anti = is_antisymmetric(r)
     trans = is_transitive(r)
-    return AxiomReport(
+    report = AxiomReport(
         reflexive=refl.passed,
         antisymmetric=anti.passed,
         transitive=trans.passed,
@@ -332,11 +345,16 @@ def check_order(r: FuzzyRelation) -> AxiomReport:
         antisymmetry_witnesses=anti.witnesses,
         transitivity_witnesses=trans.witnesses,
     )
+    object.__setattr__(r, "_is_order", report.is_order)
+    return report
 
 
 def _passes_order(r: FuzzyRelation) -> bool:
-    # Verdict only, for operation preconditions: stops at the first witness.
-    return not any(next(axiom(r), None) for axiom in _AXIOMS)
+    # Verdict only, for operation preconditions: r's recorded verdict, else a
+    # check that stops at the first witness and records its verdict.
+    if r._is_order is None:
+        object.__setattr__(r, "_is_order", not any(next(axiom(r), None) for axiom in _AXIOMS))
+    return r._is_order
 
 
 def _incomparable(grid: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ import pytest
 
 import criteria_log
 from fuzzorder import FuzzyRelation
+from fuzzorder import relation as relation_module
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -98,3 +99,20 @@ def order7():
 @pytest.fixture
 def order7_linear():
     return FuzzyRelation(ORDER7_LABELS, ORDER7_LINEAR_GRID)
+
+
+@pytest.fixture
+def axiom_calls(monkeypatch):
+    """The axiom passes the verdict-only order check starts, by name, in call order."""
+    calls = []
+
+    def counted(axiom):
+        def call(r):
+            calls.append(axiom.__name__)
+            return axiom(r)
+        return call
+
+    monkeypatch.setattr(
+        relation_module, "_AXIOMS", tuple(counted(axiom) for axiom in relation_module._AXIOMS)
+    )
+    return calls

@@ -193,6 +193,14 @@ def test_non_utf8_files_exit_two_naming_the_file(tmp_path, capsys):
     assert f"{fam_dir / 'family.json'}: not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["0.2_5", "\u0660.\u0665"])
+def test_csv_grades_that_are_not_ascii_decimals_exit_two(tmp_path, capsys, cell):
+    matrix = tmp_path / "grades.csv"
+    matrix.write_text(f",a,b\na,1,{cell}\nb,0,1\n", encoding="utf-8")
+    assert run_command(["check", str(matrix)]) == 2
+    assert f"error: malformed number {cell!r} (row 2, column 3)" in capsys.readouterr().err
+
+
 def test_verify_member_parse_errors_name_the_member(tmp_path, capsys):
     fam_dir = tmp_path / "fam"
     fam_dir.mkdir()

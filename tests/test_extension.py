@@ -6,8 +6,11 @@ import pytest
 from fuzzorder import (
     FuzzyRelation,
     GeneratorSpec,
+    PivotStep,
     PreconditionError,
+    certifying_family,
     check_order,
+    clamp_extend,
     count_incomparable_entries,
     extends,
     is_linear,
@@ -17,10 +20,12 @@ from fuzzorder import (
 )
 
 from fuzzorder import extension
+from fuzzorder.cli import run_command
 from fuzzorder.extension import _linear_grid, _pivot_grid, _runs
 from fuzzorder.relation import _incomparable
 
 from conftest import (
+    FIXTURES,
     ORDER3_GRID,
     ORDER3_LABELS,
     ORDER3_LINEAR_GRID,
@@ -331,6 +336,91 @@ def test_linear_grid_matches_rescan_on_order7_orienting_grids(order7):
 def test_linear_grid_matches_rescan_on_block_sums(sizes, ordinal):
     r = _block_sum(sizes, ordinal)
     assert _linear_grid(r.grid).tobytes() == rescan_linearization(r.grid)[0].tobytes()
+
+
+# ------------------------------------------------- trace tuples built on read
+
+
+class _EntryTuplesBuilt(Exception):
+    pass
+
+
+def _refuse_entry_tuples(monkeypatch):
+    def refuse(*arrays):
+        raise _EntryTuplesBuilt
+    monkeypatch.setattr(extension, "_entry_tuples", refuse)
+
+
+def _assert_steps_built_on_read_equal_eager_steps(r):
+    for policy, orient in _policies(r):
+        _, reference = rescan_linearization(r.grid, r.labels, orient)
+        eager = [
+            PivotStep(r.element(a), r.element(b), k, entries)
+            for k, (a, b, entries) in enumerate(reference, start=1)
+        ]
+        # Each comparison meets steps whose entries nobody has read yet.
+        assert [hash(s) for s in linearize(r, policy).trace] == [hash(s) for s in eager]
+        assert [repr(s) for s in linearize(r, policy).trace] == [repr(s) for s in eager]
+        assert list(linearize(r, policy).trace) == eager
+        assert eager == list(linearize(r, policy).trace)
+
+
+@pytest.mark.parametrize("labels, grid", GOLDENS)
+def test_steps_built_on_read_equal_eager_steps_on_goldens(labels, grid):
+    _assert_steps_built_on_read_equal_eager_steps(FuzzyRelation(labels, grid))
+
+
+@pytest.mark.parametrize("ordinal", [False, True])
+@pytest.mark.parametrize("sizes", BLOCK_SIZES)
+def test_steps_built_on_read_equal_eager_steps_on_block_sums(sizes, ordinal):
+    _assert_steps_built_on_read_equal_eager_steps(_block_sum(sizes, ordinal))
+
+
+def test_entries_raised_is_built_once_and_kept():
+    result = linearize(_block_sum((5, 7), ordinal=False))
+    for step in result.trace:
+        first = step.entries_raised
+        assert step.entries_raised == first
+        assert step.entries_raised is first
+    with pytest.raises(AttributeError):
+        result.trace[0].a = result.trace[0].b
+    with pytest.raises(AttributeError):
+        result.trace[0].entries_raised = ()
+
+
+def test_reading_only_k_m_and_pivots_builds_no_entry_tuple(monkeypatch, order7):
+    _refuse_entry_tuples(monkeypatch)
+    for r in (order7, _block_sum((12,) * 8, ordinal=False), _block_sum((5, 7), ordinal=True)):
+        for policy in ("low", "high"):
+            result = linearize(r, policy)
+            pivots = [(s.a.label, s.b.label, s.step_index) for s in result.trace]
+            assert len(pivots) == result.k > 0 and result.m > 0
+    with pytest.raises(_EntryTuplesBuilt):
+        result.trace[0].entries_raised
+
+
+def test_cli_linearize_without_trace_builds_no_entry_tuple(monkeypatch, capsys):
+    _refuse_entry_tuples(monkeypatch)
+    order7 = str(FIXTURES / "order7.csv")
+    assert run_command(["linearize", order7]) == 0
+    assert run_command(["linearize", order7, "--json", "--policy", "high"]) == 0
+    with pytest.raises(_EntryTuplesBuilt):
+        run_command(["linearize", order7, "--trace"])
+
+
+def test_operations_after_check_order_run_no_axiom_pass(axiom_calls):
+    r = FuzzyRelation(ORDER7_LABELS, ORDER7_GRID)
+    assert check_order(r).is_order
+    linearize(r)
+    pivot_extend(r, "x1", "x2")
+    clamp_extend(r, "x1", "x4")
+    certifying_family(r)
+    assert axiom_calls == []
+    fresh = FuzzyRelation(ORDER7_LABELS, ORDER7_GRID)
+    assert linearize(fresh) == linearize(r)
+    assert axiom_calls == [
+        "_reflexivity_witnesses", "_antisymmetry_witnesses", "_transitivity_witnesses"
+    ]
 
 
 # ---------------------------------------------------------------- counting

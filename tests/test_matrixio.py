@@ -76,6 +76,21 @@ def test_parse_malformed_number_positioned():
         parse_matrix(",a\na,inf\n")
 
 
+@pytest.mark.parametrize("cell", ["0.2_5", "1_0e-1", "\u0660.\u0665", "\uff10.\uff15", "0.\u0665"])
+@pytest.mark.parametrize("label", ["b", "b_2", "\u03b2"], ids=["ascii", "underscore", "greek"])
+def test_parse_csv_grades_must_be_ascii_decimal_numbers(cell, label):
+    """float() reads digit-group underscores and non-ASCII digits; a grade cell may not."""
+    with pytest.raises(ParseError) as exc:
+        parse_matrix(f",a,{label}\na,1,{cell}\n{label},0,1\n")
+    assert str(exc.value) == f"malformed number {cell!r} (row 2, column 3)"
+
+
+@pytest.mark.parametrize("label", ["b", "b_2", "\u03b2"], ids=["ascii", "underscore", "greek"])
+def test_parse_csv_keeps_accepting_signs_bare_fractions_exponents_and_spaces(label):
+    r = parse_matrix(f",a,{label}\na, +1 ,.5\n{label},-0, 1E-0\t\n")
+    assert r.tolists() == [[1.0, 0.5], [0.0, 1.0]]
+
+
 def test_parse_structural_errors():
     with pytest.raises(ParseError, match="empty matrix"):
         parse_matrix("")

@@ -9,7 +9,10 @@ from fuzzorder import (
     FuzzyRelation,
     PreconditionError,
     brute_check_order,
+    certifying_family,
     check_order,
+    clamp_extend,
+    emit_matrix,
     extends,
     incomparable_pairs,
     is_antisymmetric,
@@ -17,9 +20,11 @@ from fuzzorder import (
     is_reflexive,
     is_transitive,
     linearize,
+    parse_matrix,
     pivot_extend,
     pointwise_inf,
 )
+from fuzzorder.relation import _passes_order
 
 from conftest import identity_relation
 from genutil import corpus, corrupt
@@ -198,6 +203,72 @@ def test_order_implies_unit_diagonal_and_one_direction(order7):
         for j in range(order7.n):
             if i != j:
                 assert not (g[i, j] > 0 and g[j, i] > 0)
+
+
+# ------------------------------------------------------- recorded verdict
+
+
+def _non_orders():
+    rng = np.random.default_rng(77)
+    damaged = [corrupt(r, rng) for r in corpus(200)]
+    grades = np.array([0.0, 0.3, 0.7, 1.0])
+    noise = [
+        FuzzyRelation(tuple(f"v{i}" for i in range(n)), rng.choice(grades, size=(n, n)))
+        for n in rng.integers(1, 9, size=100).tolist()
+    ]
+    return [r for r in damaged + noise if not brute_check_order(r)]
+
+
+def test_check_order_reports_stay_complete_once_a_verdict_is_recorded():
+    """check_order always runs its passes, even after the verdict-only check stopped early."""
+    non_orders = _non_orders()
+    assert len(non_orders) > 150
+    for r in non_orders:
+        complete = check_order(FuzzyRelation(r.labels, r.grid))
+        assert not _passes_order(r)
+        first, second = check_order(r), check_order(r)
+        assert first == second == complete
+        assert not complete.is_order
+        assert len(complete.reflexivity_witnesses) == int((np.diagonal(r.grid) != 1.0).sum())
+
+
+def test_derived_relations_start_without_a_verdict(axiom_calls, order7):
+    assert check_order(order7).is_order
+    derived = [
+        FuzzyRelation._on_carrier_of(order7, order7.grid),
+        order7.with_value("x1", "x1", 1.0),
+        parse_matrix(emit_matrix(order7, "csv")),
+        parse_matrix(emit_matrix(order7, "json")),
+        pivot_extend(order7, "x1", "x2"),
+        linearize(order7).relation,
+        clamp_extend(order7, "x1", "x4").relation,
+        pointwise_inf([order7]),
+        *certifying_family(order7).relations(),
+    ]
+    assert axiom_calls == []
+    for r in derived:
+        axiom_calls.clear()
+        assert _passes_order(r)
+        assert len(axiom_calls) == 3
+        axiom_calls.clear()
+        assert _passes_order(r)
+        assert axiom_calls == []
+
+
+@pytest.mark.parametrize("record", [check_order, _passes_order])
+def test_recorded_non_order_fails_every_order_precondition(record):
+    bad = FuzzyRelation(("a", "b", "c"), [[1, 0.3, 0], [0.2, 1, 0], [0, 0, 1]])
+    record(bad)
+    for operation in (
+        linearize,
+        lambda r: pivot_extend(r, "a", "c"),
+        lambda r: clamp_extend(r, "a", "b"),
+        certifying_family,
+    ):
+        with pytest.raises(PreconditionError) as exc:
+            operation(bad)
+        assert exc.value.reason == "not-an-order"
+    assert not check_order(bad).is_order
 
 
 # ---------------------------------------------------------------- linearity
