@@ -30,8 +30,7 @@ one vectorized update and one vectorized trace pass.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Union
 
@@ -57,6 +56,7 @@ __all__ = [
 PivotPolicy = Union[str, Iterable[tuple[ElementLike, ElementLike]]]
 
 
+@dataclass(frozen=True)
 class PivotStep:
     """One application of the pivot formula inside a linearization run.
 
@@ -64,23 +64,12 @@ class PivotStep:
     ``((x_label, y_label), old, new)``, in row-major order.  The pivot pair
     itself appears here as ``((a, b), 0.0, 1.0)``.  A step from
     :func:`linearize` builds these tuples on first read and keeps them.
-    Steps are immutable and compare, hash and print by
-    ``(a, b, step_index, entries_raised)``, as a dataclass would.
     """
 
     a: Element
     b: Element
     step_index: int
-
-    def __init__(
-        self,
-        a: Element,
-        b: Element,
-        step_index: int,
-        entries_raised: tuple[tuple[tuple[str, str], float, float], ...],
-    ):
-        fields = {"a": a, "b": b, "step_index": step_index, "entries_raised": entries_raised}
-        object.__setattr__(self, "__dict__", fields)
+    entries_raised: tuple[tuple[tuple[str, str], float, float], ...]
 
     @classmethod
     def _from_raised(cls, a, b, step_index, raised, span) -> "PivotStep":
@@ -90,35 +79,15 @@ class PivotStep:
         object.__setattr__(step, "__dict__", fields)
         return step
 
-    @cached_property
-    def entries_raised(self) -> tuple[tuple[tuple[str, str], float, float], ...]:
-        # Runs only for a step made by _from_raised; any other step holds its
-        # tuple in the instance dict, which this property does not override.
+    def __getattr__(self, name):
+        # Reached only for an attribute not yet set: the entries_raised of a
+        # step made by _from_raised.
+        if name != "entries_raised" or "_span" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         raised, span = self.__dict__.pop("_span")
-        return raised[span]
-
-    def _fields(self):
-        return self.a, self.b, self.step_index, self.entries_raised
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"PivotStep(a={self.a!r}, b={self.b!r}, step_index={self.step_index!r}, "
-            f"entries_raised={self.entries_raised!r})"
-        )
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        entries = raised[span]
+        object.__setattr__(self, "entries_raised", entries)
+        return entries
 
 
 @dataclass(frozen=True)

@@ -83,8 +83,6 @@ def _ascii_float(cell: str) -> float:
 
 
 def _parse_csv(text: str) -> FuzzyRelation:
-    # A document with neither kind of character reads its cells with float().
-    number = float if text.isascii() and "_" not in text else _ascii_float
     reader = csv.reader(io.StringIO(text))
     try:
         lines = list(reader)
@@ -130,7 +128,7 @@ def _parse_csv(text: str) -> FuzzyRelation:
         row = []
         for j, cell in enumerate(cells[1:], start=2):
             try:
-                value = number(cell)
+                value = _ascii_float(cell)
             except ValueError:
                 raise ParseError(f"malformed number {cell!r}", i, j) from None
             row.append(_grade(value, cell, i, j))

@@ -1,5 +1,9 @@
 """Pivot extension and linearization tests against the frozen goldens."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -386,6 +390,27 @@ def test_entries_raised_is_built_once_and_kept():
         result.trace[0].a = result.trace[0].b
     with pytest.raises(AttributeError):
         result.trace[0].entries_raised = ()
+
+
+def test_steps_built_on_read_keep_the_dataclass_protocol():
+    r = _block_sum((5, 7), ordinal=False)
+    step = linearize(r).trace[0]
+    eager = PivotStep(step.a, step.b, step.step_index, step.entries_raised)
+    names = ["a", "b", "step_index", "entries_raised"]
+    assert dataclasses.is_dataclass(step) and PivotStep.__match_args__ == tuple(names)
+    assert [f.name for f in dataclasses.fields(step)] == names
+    # Each call below meets a step whose entries nobody has read yet.
+    assert dataclasses.asdict(linearize(r).trace[0]) == dataclasses.asdict(eager)
+    assert dataclasses.replace(linearize(r).trace[0], step_index=9) == dataclasses.replace(
+        eager, step_index=9
+    )
+    match linearize(r).trace[0]:
+        case PivotStep(a, b, index, entries):
+            assert (a, b, index, entries) == (eager.a, eager.b, 1, eager.entries_raised)
+    for clone in (copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))):
+        assert clone(linearize(r).trace[0]) == eager
+    with pytest.raises(AttributeError):
+        step.pivot
 
 
 def test_reading_only_k_m_and_pivots_builds_no_entry_tuple(monkeypatch, order7):
