@@ -20,6 +20,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .extension import linearize, pivot_extend
 from .matrixio import (
     ParseError,
@@ -38,8 +40,8 @@ from .relation import (
     EmptyFamilyError,
     FuzzyOrderError,
     PreconditionError,
+    _incomparable_pairs,
     check_order,
-    is_linear,
 )
 
 __all__ = ["build_parser", "main", "run_command"]
@@ -107,25 +109,28 @@ def _emit_result(args, relation, fmt, info, report):
 def _cmd_check(args, report):
     relation, _ = load_matrix(args.file)
     axioms = check_order(relation)
-    linear = is_linear(relation)
-    pairs = linear.witnesses
+    # The incomparable pairs as labels, gathered without building Pairs.
+    labels = np.array(relation.labels, dtype=object)
+    i, j = _incomparable_pairs(relation.grid)
+    pairs = np.stack((labels[i], labels[j]), axis=1).tolist()
+    linear = not pairs
     report["verdicts"] = {
         "zadeh_order": axioms.is_order,
         "reflexive": axioms.reflexive,
         "antisymmetric": axioms.antisymmetric,
         "transitive": axioms.transitive,
-        "linear": linear.passed,
+        "linear": linear,
     }
     report["witnesses"] = {
         "reflexivity": [[x, v] for x, v in axioms.reflexivity_witnesses],
         "antisymmetry": [[list(p), f, b] for p, f, b in axioms.antisymmetry_witnesses],
         "transitivity": [[list(t), v, bound] for t, v, bound in axioms.transitivity_witnesses],
-        "incomparable_pairs": [[p.first.label, p.second.label] for p in pairs],
+        "incomparable_pairs": pairs,
     }
     yn = lambda flag: "yes" if flag else "no"
     info = [
         f"Zadeh fuzzy order: {yn(axioms.is_order)}; "
-        f"linear: {yn(linear.passed)}; incomparable pairs: {len(pairs)}"
+        f"linear: {yn(linear)}; incomparable pairs: {len(pairs)}"
     ]
     for x, v in axioms.reflexivity_witnesses:
         info.append(f"reflexivity violated at ({x},{x}): {_value_text(v)} != 1")

@@ -17,6 +17,8 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .relation import FuzzyOrderError, FuzzyRelation, _label_error
 
 __all__ = [
@@ -82,6 +84,36 @@ def _ascii_float(cell: str) -> float:
     return float(cell)
 
 
+def _csv_row(cells: list[str], row: int) -> list[float]:
+    # One data row's grades, checked cell by cell so that the first bad cell
+    # of the row is the one reported.
+    grades = []
+    for j, cell in enumerate(cells, start=2):
+        try:
+            value = _ascii_float(cell)
+        except ValueError:
+            raise ParseError(f"malformed number {cell!r}", row, j) from None
+        grades.append(_grade(value, cell, row, j))
+    return grades
+
+
+def _in_range(rows, cell_text, row0: int, col0: int) -> np.ndarray:
+    """The grid of parsed ``rows`` once every grade is checked to lie in [0, 1].
+
+    Otherwise a ParseError at the row-major first grade outside, NaN
+    included; ``cell_text(i, j)`` gives the text of grid entry (i, j), which
+    sits at (row0 + i, col0 + j) in the document.  A parser checks the rows
+    read so far before raising a later row's error, so that the error it
+    reports is the first one in row-major order.
+    """
+    grid = np.array(rows, dtype=np.float64)
+    bad = ~((grid >= 0.0) & (grid <= 1.0))
+    if bad.any():
+        i, j = divmod(int(bad.argmax()), grid.shape[1])
+        raise ParseError(f"value {cell_text(i, j)} outside [0, 1]", row0 + i, col0 + j)
+    return grid
+
+
 def _parse_csv(text: str) -> FuzzyRelation:
     reader = csv.reader(io.StringIO(text))
     try:
@@ -113,27 +145,32 @@ def _parse_csv(text: str) -> FuzzyRelation:
             1,
         )
     rows = []
+    cell_text = lambda i, j: lines[i + 1][j + 1].strip()
     for i, line in enumerate(lines[1:], start=2):
-        cells = [cell.strip() for cell in line]
-        if len(cells) != n + 1:
+        if len(line) != n + 1:
+            _in_range(rows, cell_text, 2, 2)
+            raise ParseError(f"expected {n + 1} cells, got {len(line)}", i, len(line) + 1)
+        label = line[0].strip()
+        if label != labels[i - 2]:
+            _in_range(rows, cell_text, 2, 2)
             raise ParseError(
-                f"expected {n + 1} cells, got {len(cells)}", i, len(cells) + 1
-            )
-        if cells[0] != labels[i - 2]:
-            raise ParseError(
-                f"row label {cells[0]!r} does not match header label {labels[i - 2]!r}",
+                f"row label {label!r} does not match header label {labels[i - 2]!r}",
                 i,
                 1,
             )
-        row = []
-        for j, cell in enumerate(cells[1:], start=2):
+        # _ascii_float's test, made once for the row.  float() strips the same
+        # whitespace that str.strip() does, so the cells need no stripping.
+        grades = line[1:]
+        joined = "".join(grades)
+        if joined.isascii() and "_" not in joined:
             try:
-                value = _ascii_float(cell)
+                rows.append(list(map(float, grades)))
+                continue
             except ValueError:
-                raise ParseError(f"malformed number {cell!r}", i, j) from None
-            row.append(_grade(value, cell, i, j))
-        rows.append(row)
-    return FuzzyRelation._on_carrier_of(tuple(labels), rows)
+                pass
+        _in_range(rows, cell_text, 2, 2)
+        rows.append(_csv_row(list(map(str.strip, grades)), i))
+    return FuzzyRelation._on_carrier_of(tuple(labels), _in_range(rows, cell_text, 2, 2))
 
 
 def _parse_json(text: str) -> FuzzyRelation:
@@ -152,18 +189,19 @@ def _parse_json(text: str) -> FuzzyRelation:
     n = len(labels)
     if len(matrix) != n:
         raise ParseError(f"expected {n} matrix rows, got {len(matrix)}")
-    rows = []
     # positions below are matrix coordinates (1-based), not text coordinates
+    cell_text = lambda i, j: repr(matrix[i][j])
     for i, row in enumerate(matrix, start=1):
         if not isinstance(row, list) or len(row) != n:
+            _in_range(matrix[: i - 1], cell_text, 1, 1)
             raise ParseError(f"matrix row {i} must have {n} entries", i, 1)
-        parsed = []
-        for j, cell in enumerate(row, start=1):
-            if not isinstance(cell, float):  # every JSON number is read as a float
-                raise ParseError(f"malformed number {cell!r}", i, j)
-            parsed.append(_grade(cell, repr(cell), i, j))
-        rows.append(parsed)
-    return FuzzyRelation._on_carrier_of(tuple(labels), rows)
+        if set(map(type, row)) != {float}:  # every JSON number is read as a float
+            _in_range(matrix[: i - 1], cell_text, 1, 1)
+            for j, cell in enumerate(row, start=1):
+                if not isinstance(cell, float):
+                    raise ParseError(f"malformed number {cell!r}", i, j)
+                _grade(cell, repr(cell), i, j)
+    return FuzzyRelation._on_carrier_of(tuple(labels), _in_range(matrix, cell_text, 1, 1))
 
 
 def parse_matrix(text: str, fmt: str | None = None) -> FuzzyRelation:
@@ -171,7 +209,7 @@ def parse_matrix(text: str, fmt: str | None = None) -> FuzzyRelation:
 
     With ``fmt=None`` the format is detected from the text.  A leading UTF-8
     byte order mark is ignored.  Raises :class:`ParseError` with a position
-    for malformed documents.
+    for malformed documents: the document's first error in row-major order.
     """
     text = text.removeprefix(_BOM)
     fmt = fmt or detect_format(text)
@@ -182,12 +220,18 @@ def parse_matrix(text: str, fmt: str | None = None) -> FuzzyRelation:
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
-def _format_value(v: float):
-    return int(v) if float(v).is_integer() else float(v)
-
-
 def _value_text(v: float) -> str:
-    return repr(_format_value(v))
+    return repr(int(v) if float(v).is_integer() else float(v))
+
+
+def _cells(grid: np.ndarray) -> np.ndarray:
+    # Grades as Python numbers whose repr is their text: the shortest decimal
+    # that parses back to the same float, or an int for the only integral
+    # grades in [0, 1], 0 and 1 (so -0.0 is written as 0).
+    cells = grid.astype(object)
+    cells[grid == 0.0] = 0
+    cells[grid == 1.0] = 1
+    return cells
 
 
 def emit_matrix(r: FuzzyRelation, fmt: str = "csv") -> str:
@@ -195,15 +239,12 @@ def emit_matrix(r: FuzzyRelation, fmt: str = "csv") -> str:
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([""] + list(r.labels))
-        for label, row in zip(r.labels, r.grid):
-            writer.writerow([label] + [_value_text(v) for v in row])
+        writer.writerow(["", *r.labels])
+        # csv writes a float as its repr
+        writer.writerows([label, *row] for label, row in zip(r.labels, _cells(r.grid).tolist()))
         return out.getvalue()
     if fmt == "json":
-        doc = {
-            "elements": list(r.labels),
-            "matrix": [[_format_value(v) for v in row] for row in r.grid],
-        }
+        doc = {"elements": list(r.labels), "matrix": _cells(r.grid).tolist()}
         return json.dumps(doc) + "\n"
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 

@@ -224,6 +224,10 @@ def verify_intersection(r: FuzzyRelation, family) -> Verdict:
     ``family`` may be an :class:`ExtensionFamily` or any iterable of
     relations.  Witnesses list each ``((x, y), inf_value, r_value)`` where
     the infimum disagrees with r.
+
+    This checks the infimum only: it does not check that each member is a
+    linear extension of r (an order, linear, and >= r entrywise), nor any
+    member's tags.  A family whose one member is r itself passes.
     """
     inf = pointwise_inf(m.relation if isinstance(m, FamilyMember) else m for m in family)
     if inf.labels != r.labels:

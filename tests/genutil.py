@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+
 import numpy as np
 
 from fuzzorder import (
@@ -9,12 +13,15 @@ from fuzzorder import (
     FamilyMember,
     FuzzyRelation,
     GeneratorSpec,
+    Pair,
+    ParseError,
     certifying_family,
     random_zadeh_order,
     verify_intersection,
 )
 from fuzzorder.extension import _linear_grid, _pivot_grid
-from fuzzorder.relation import _incomparable
+from fuzzorder.matrixio import _read_json, detect_format
+from fuzzorder.relation import _incomparable, _label_error
 
 CORPUS_DENSITIES = (0.0, 0.3, 0.5, 0.7, 1.0)
 
@@ -52,6 +59,19 @@ def block_sum(blocks: list[FuzzyRelation], ordinal: bool = False) -> FuzzyRelati
             grid[start:stop, stop:] = 1.0
         start = stop
     return FuzzyRelation(tuple(f"e{i + 1}" for i in range(n)), grid)
+
+
+def block_sums(seed: int = 700) -> list[FuzzyRelation]:
+    """Disjoint and ordinal sums of generated blocks, from n = 12 up to n = 192."""
+    densities = (0.2, 0.45, 0.7)
+    sums = []
+    for sizes in [(5, 7), (12,) * 4, (12,) * 8, (12,) * 16]:
+        blocks = [
+            random_zadeh_order(GeneratorSpec(n=n, density=densities[k % 3], seed=seed + k))
+            for k, n in enumerate(sizes)
+        ]
+        sums += [block_sum(blocks), block_sum(blocks, ordinal=True)]
+    return sums
 
 
 def rescan_linearization(grid: np.ndarray, labels=None, orient=lambda i, j: (i, j)):
@@ -171,3 +191,125 @@ def inf_reconstruction_probe(r: FuzzyRelation) -> bool:
         for i in range(n)
     ]
     return bool(verdict) and second == r.tolists()
+
+
+# -------------------------------------------------------------------------
+# per-cell references for the bulk file path
+# -------------------------------------------------------------------------
+
+
+def reference_incomparable_pairs(r: FuzzyRelation) -> list[Pair]:
+    """Reference pair list: one Pair per ``argwhere`` row of the mask."""
+    elems = r.elements
+    mask = np.triu((r.grid == 0.0) & (r.grid.T == 0.0), k=1)
+    return [Pair(elems[i], elems[j]) for i, j in np.argwhere(mask)]
+
+
+def reference_value(v) -> object:
+    """Reference grade formatter: an int when integral, else the float."""
+    return int(v) if float(v).is_integer() else float(v)
+
+
+def reference_emit_matrix(r: FuzzyRelation, fmt: str = "csv") -> str:
+    """Reference emitter: one formatter call per cell."""
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow([""] + list(r.labels))
+        for label, row in zip(r.labels, r.grid):
+            writer.writerow([label] + [repr(reference_value(v)) for v in row])
+        return out.getvalue()
+    doc = {
+        "elements": list(r.labels),
+        "matrix": [[reference_value(v) for v in row] for row in r.grid],
+    }
+    return json.dumps(doc) + "\n"
+
+
+def _reference_grade(value: float, text: str, row: int, col: int) -> float:
+    if not 0.0 <= value <= 1.0:
+        raise ParseError(f"value {text} outside [0, 1]", row, col)
+    return value
+
+
+def _reference_csv(text: str) -> FuzzyRelation:
+    reader = csv.reader(io.StringIO(text))
+    try:
+        lines = list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", reader.line_num) from None
+    while lines and lines[-1] == []:
+        lines.pop()
+    if not lines:
+        raise ParseError("empty matrix document", 1, 1)
+    header = [cell.strip() for cell in lines[0]]
+    if not header:
+        raise ParseError("empty header row", 1, 1)
+    if header[0] != "":
+        raise ParseError("first header cell must be empty", 1, 1)
+    labels = header[1:]
+    if not labels:
+        raise ParseError("no element labels in header", 1, 2)
+    error = _label_error(labels)
+    if error is not None:
+        raise ParseError(error[1], 1, error[0] + 2)
+    n = len(labels)
+    if len(lines) - 1 != n:
+        raise ParseError(f"expected {n} data rows for {n} labels, got {len(lines) - 1}", len(lines), 1)
+    rows = []
+    for i, line in enumerate(lines[1:], start=2):
+        cells = [cell.strip() for cell in line]
+        if len(cells) != n + 1:
+            raise ParseError(f"expected {n + 1} cells, got {len(cells)}", i, len(cells) + 1)
+        if cells[0] != labels[i - 2]:
+            raise ParseError(
+                f"row label {cells[0]!r} does not match header label {labels[i - 2]!r}", i, 1
+            )
+        row = []
+        for j, cell in enumerate(cells[1:], start=2):
+            try:
+                if not cell.isascii() or "_" in cell:
+                    raise ValueError(cell)
+                value = float(cell)
+            except ValueError:
+                raise ParseError(f"malformed number {cell!r}", i, j) from None
+            row.append(_reference_grade(value, cell, i, j))
+        rows.append(row)
+    return FuzzyRelation(tuple(labels), rows)
+
+
+def _reference_json(text: str) -> FuzzyRelation:
+    doc = _read_json(text)
+    if not isinstance(doc, dict) or "elements" not in doc or "matrix" not in doc:
+        raise ParseError('JSON document must be an object with "elements" and "matrix"')
+    labels = doc["elements"]
+    matrix = doc["matrix"]
+    if not isinstance(labels, list) or not labels:
+        raise ParseError('"elements" must be a nonempty array of strings')
+    error = _label_error(labels)
+    if error is not None:
+        raise ParseError(f'"elements" entry {error[0] + 1}: {error[1]}')
+    if not isinstance(matrix, list):
+        raise ParseError('"matrix" must be an array of rows')
+    n = len(labels)
+    if len(matrix) != n:
+        raise ParseError(f"expected {n} matrix rows, got {len(matrix)}")
+    rows = []
+    for i, row in enumerate(matrix, start=1):
+        if not isinstance(row, list) or len(row) != n:
+            raise ParseError(f"matrix row {i} must have {n} entries", i, 1)
+        parsed = []
+        for j, cell in enumerate(row, start=1):
+            if not isinstance(cell, float):
+                raise ParseError(f"malformed number {cell!r}", i, j)
+            parsed.append(_reference_grade(cell, repr(cell), i, j))
+        rows.append(parsed)
+    return FuzzyRelation(tuple(labels), rows)
+
+
+def reference_parse_matrix(text: str, fmt: str | None = None) -> FuzzyRelation:
+    """Reference parser: every grade cell checked on its own, in row-major order,
+    so the first error in the document is the one raised."""
+    text = text.removeprefix("\ufeff")
+    fmt = fmt or detect_format(text)
+    return _reference_csv(text) if fmt == "csv" else _reference_json(text)

@@ -10,10 +10,22 @@ from pathlib import Path
 import pytest
 
 import fuzzorder
-from fuzzorder import linearize, parse_matrix
+from fuzzorder import FuzzyRelation, emit_matrix, linearize, load_matrix, parse_matrix
 from fuzzorder.cli import build_parser, run_command
 
-from conftest import FIXTURES
+from conftest import (
+    FIXTURES,
+    ORDER3_GRID,
+    ORDER3_LABELS,
+    ORDER3_LINEAR_GRID,
+    ORDER4_GRID,
+    ORDER4_LABELS,
+    ORDER4_LINEAR_GRID,
+    ORDER7_GRID,
+    ORDER7_LABELS,
+    ORDER7_LINEAR_GRID,
+)
+from genutil import reference_incomparable_pairs
 
 REPORT_KEYS = {"command", "verdicts", "witnesses", "trace", "family", "timing"}
 
@@ -47,6 +59,28 @@ def test_check_corrupted_exits_one_with_witness(corrupted_file, capsys):
 def test_check_linear_file(capsys):
     assert run_command(["check", str(FIXTURES / "order7_linear.csv")]) == 0
     assert "linear: yes; incomparable pairs: 0" in capsys.readouterr().out
+
+
+GOLDEN_GRIDS = {
+    "order3": (ORDER3_LABELS, ORDER3_GRID), "order3_linear": (ORDER3_LABELS, ORDER3_LINEAR_GRID),
+    "order4": (ORDER4_LABELS, ORDER4_GRID), "order4_linear": (ORDER4_LABELS, ORDER4_LINEAR_GRID),
+    "order7": (ORDER7_LABELS, ORDER7_GRID), "order7_linear": (ORDER7_LABELS, ORDER7_LINEAR_GRID),
+}
+
+
+def test_check_reports_the_argwhere_pair_list_on_goldens_and_fixtures(tmp_path, capsys):
+    files = sorted(FIXTURES.glob("*.csv")) + sorted(FIXTURES.glob("*.json"))
+    for name, (labels, grid) in GOLDEN_GRIDS.items():
+        files.append(tmp_path / f"{name}.json")
+        files[-1].write_text(emit_matrix(FuzzyRelation(labels, grid), "json"), encoding="utf-8")
+    for path in files:
+        run_command(["check", str(path), "--json"])
+        report = json.loads(capsys.readouterr().out)
+        pairs = reference_incomparable_pairs(load_matrix(path)[0])
+        assert report["witnesses"]["incomparable_pairs"] == [
+            [p.first.label, p.second.label] for p in pairs
+        ], path
+        assert report["verdicts"]["linear"] is (not pairs), path
 
 
 # ---------------------------------------------------------------- linearize

@@ -2,7 +2,8 @@
 
 Three robustness claims are checked on generated input:
 
-* ``parse_matrix`` turns any text into a relation or a :class:`ParseError`;
+* ``parse_matrix`` turns any text into a relation or a :class:`ParseError`,
+  the same one a parser that checks each cell on its own gives;
 * every relation the constructor accepts, and the linearization of a drawn
   order, round-trips bit-identically through CSV and JSON, as text and as a
   file;
@@ -32,6 +33,7 @@ from fuzzorder import (
 )
 from fuzzorder.cli import run_command
 
+from genutil import reference_parse_matrix
 from conftest import ORDER3_GRID, ORDER3_LABELS, ORDER7_GRID, ORDER7_LABELS
 
 ORDER3 = FuzzyRelation(ORDER3_LABELS, ORDER3_GRID)
@@ -96,6 +98,68 @@ def test_parse_matrix_yields_relation_or_parse_error(text):
     except ParseError:
         return
     assert isinstance(relation, FuzzyRelation)
+
+
+# Grade cells that the per-cell checks reject, or accept in a form other than
+# the emitter's, and rows and labels that break the layout.
+CSV_CELLS = ["x", "", "nan", "NaN", "inf", "-inf", "1.5", "-0.1", "2", "-0", "+.5", " 0.5 ",
+             "0.2_5", "1_0e-1", "\u0660.\u0665", "\uff10.\uff15", "1e-400", "1e400",
+             "\u00a00.5", "\x1c0.5", "0.5\x1f", "0x1", "1E-1", "0.3"]
+JSON_CELLS = [True, False, None, "0.5", 1.5, -0.1, float("nan"), float("inf"), float("-inf"),
+              2, -0.0, [0.5], {}, 0.3, 1, 0]
+
+
+@st.composite
+def damaged_documents(draw):
+    """A generated order's document with one to four cells, rows or labels damaged."""
+    n = draw(st.integers(1, 5))
+    spec = GeneratorSpec(n=n, density=draw(st.sampled_from([0.3, 0.7])),
+                         seed=draw(st.integers(0, 999)))
+    r = random_zadeh_order(spec)
+    csv_doc = draw(st.booleans())
+    rows = r.tolists()
+    if csv_doc:
+        rows = [[label, *map(repr, row)] for label, row in zip(r.labels, rows)]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["cell"] * 6 + ["short", "long", "label", "rows"]))
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        if not isinstance(row, list):  # a JSON row that "label" replaced
+            continue
+        if kind == "cell" and len(row) > int(csv_doc):
+            j = draw(st.integers(int(csv_doc), len(row) - 1))
+            row[j] = draw(st.sampled_from(CSV_CELLS if csv_doc else JSON_CELLS))
+        elif kind == "short" and row:
+            row.pop()
+        elif kind == "long":
+            row.append("0" if csv_doc else 0.0)
+        elif kind == "label":
+            if csv_doc:
+                row[0] = draw(st.sampled_from(["zz", r.labels[-1], ""]))
+            else:
+                rows[i] = draw(st.sampled_from([0.5, "row", None, {}]))
+        elif kind == "rows":
+            rows.pop()
+    if csv_doc:
+        return "".join(",".join(row) + "\n" for row in [["", *r.labels], *rows])
+    return json.dumps({"elements": list(r.labels), "matrix": rows})
+
+
+def _outcome(parse, text):
+    try:
+        r = parse(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.row, exc.col
+    return "relation", r.labels, r.grid.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(damaged_documents(), mutated_docs()))
+def test_parse_matrix_agrees_with_the_per_cell_parser(text):
+    """Equal relations, or the same first error at the same position."""
+    assert _outcome(parse_matrix, text) == _outcome(reference_parse_matrix, text)
 
 
 @st.composite

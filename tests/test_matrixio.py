@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from fuzzorder import (
@@ -16,6 +17,7 @@ from fuzzorder import (
 from fuzzorder import matrixio
 from fuzzorder import relation as relation_module
 
+from genutil import block_sums, corpus, reference_emit_matrix
 from conftest import (
     FIXTURES,
     ORDER3_GRID,
@@ -88,6 +90,40 @@ def test_parse_csv_grades_must_be_ascii_decimal_numbers(cell, label):
 @pytest.mark.parametrize("label", ["b", "b_2", "\u03b2"], ids=["ascii", "underscore", "greek"])
 def test_parse_csv_keeps_accepting_signs_bare_fractions_exponents_and_spaces(label):
     r = parse_matrix(f",a,{label}\na, +1 ,.5\n{label},-0, 1E-0\t\n")
+    assert r.tolists() == [[1.0, 0.5], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("text, message", [
+    (",a,b\na,1,1.5\nb,0\n", "value 1.5 outside [0, 1] (row 2, column 3)"),
+    (",a,b\na,1,x\nb,0\n", "malformed number 'x' (row 2, column 3)"),
+    (",a,b\na,1,2\nb,1,0\n", "value 2 outside [0, 1] (row 2, column 3)"),
+    (",a,b,c\na,1,0,0\nb,0,nan,0\nc,0,0,1,0\n", "value nan outside [0, 1] (row 3, column 3)"),
+    (",a,b\na,1,-0.5\nb,0,x\n", "value -0.5 outside [0, 1] (row 2, column 3)"),
+    (",a,b\na,2,x\nb,0,1\n", "value 2 outside [0, 1] (row 2, column 2)"),
+    (",a,b\na,x,2\nb,0,1\n", "malformed number 'x' (row 2, column 2)"),
+    (",a,b\na,1,0\nb,0,x\n", "malformed number 'x' (row 3, column 3)"),
+    (",a,b\na,1,0\nb,0,1.5\n", "value 1.5 outside [0, 1] (row 3, column 3)"),
+    (",a,b\na,1,5\nc,0,1\n", "value 5 outside [0, 1] (row 2, column 3)"),
+    (",a,b,c\na,1,0,5\nb,0,7,0\nc,0,0,1\n", "value 5 outside [0, 1] (row 2, column 4)"),
+    ('{"elements":["a","b"],"matrix":[[1,3],[4,1]]}', "value 3.0 outside [0, 1] (row 1, column 2)"),
+    ('{"elements":["a","b"],"matrix":[[1,2],[0]]}', "value 2.0 outside [0, 1] (row 1, column 2)"),
+    ('{"elements":["a","b"],"matrix":[[1,2],[0,true]]}',
+     "value 2.0 outside [0, 1] (row 1, column 2)"),
+    ('{"elements":["a","b"],"matrix":[[1,0],[NaN,"x"]]}', "value nan outside [0, 1] (row 2, column 1)"),
+    ('{"elements":["a","b"],"matrix":[[1,0],["x",NaN]]}', "malformed number 'x' (row 2, column 1)"),
+    ('{"elements":["a","b"],"matrix":[[1,0],[0,-1]]}', "value -1.0 outside [0, 1] (row 2, column 2)"),
+])
+def test_parse_reports_the_first_error_in_row_major_order(text, message):
+    """A grade error in an earlier row beats a structural error in a later one."""
+    with pytest.raises(ParseError) as exc:
+        parse_matrix(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("space", ["\u00a0", "\x1c", "\u2003"])
+def test_parse_csv_strips_every_whitespace_that_str_strip_does(space):
+    """float() strips only some of these itself; a cell is read as str.strip() leaves it."""
+    r = parse_matrix(f",a,b\na,1,{space}0.5{space}\nb,0,1\n")
     assert r.tolists() == [[1.0, 0.5], [0.0, 1.0]]
 
 
@@ -316,3 +352,38 @@ def test_double_roundtrip_is_stable(order7):
     once = emit_matrix(order7)
     twice = emit_matrix(parse_matrix(once))
     assert once == twice
+
+
+# ---------------------------------------------------------------- emitter parity
+
+
+EDGE_GRADES = [5e-324, 2.0**-1074 * 3, 1 - 2.0**-53, 0.1 + 0.2, 0.0, 1.0]
+
+
+def _edge_relations():
+    # Row k holds EDGE_GRADES[k] throughout; the second grid has -0.0 entries.
+    n = len(EDGE_GRADES)
+    yield FuzzyRelation(tuple(f"e{k}" for k in range(n)), np.repeat([EDGE_GRADES], n, axis=0).T)
+    yield FuzzyRelation(("a", "b"), [[1.0, -0.0], [0.5, -0.0]])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_is_byte_identical_to_the_per_cell_emitter(fmt):
+    relations = [*corpus(1000), *block_sums(), *_edge_relations()]
+    assert max(r.n for r in relations) == 192
+    for r in relations:
+        text = emit_matrix(r, fmt)
+        assert text == reference_emit_matrix(r, fmt), r
+        back = parse_matrix(text, fmt)
+        assert back == r and back.grid.tobytes() == r.grid.tobytes()
+
+
+def test_emit_writes_edge_grades_as_shortest_round_trip_decimals():
+    r = next(_edge_relations())
+    assert emit_matrix(r).splitlines()[1] == (
+        "e0,5e-324,5e-324,5e-324,5e-324,5e-324,5e-324"
+    )
+    texts = json.loads(emit_matrix(r, "json"))["matrix"]
+    assert [row[0] for row in texts] == [5e-324, 1.5e-323, 0.9999999999999999,
+                                         0.30000000000000004, 0, 1]
+    assert "-0" not in emit_matrix(FuzzyRelation(("a", "b"), [[1.0, -0.0], [-0.0, 1.0]]), "json")

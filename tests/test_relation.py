@@ -7,6 +7,7 @@ from fuzzorder import (
     CarrierMismatchError,
     EmptyFamilyError,
     FuzzyRelation,
+    Pair,
     PreconditionError,
     brute_check_order,
     certifying_family,
@@ -27,7 +28,7 @@ from fuzzorder import (
 from fuzzorder.relation import _passes_order
 
 from conftest import identity_relation
-from genutil import corpus, corrupt
+from genutil import block_sums, corpus, corrupt, reference_incomparable_pairs
 
 
 # ---------------------------------------------------------------- model
@@ -324,6 +325,14 @@ def test_incomparable_pairs_empty_for_linear(order7_linear):
 def test_linear_iff_no_incomparable_pairs(order3, order7, order7_linear):
     for r in (order3, order7, order7_linear, identity_relation(1)):
         assert bool(is_linear(r)) == (incomparable_pairs(r) == [])
+
+
+def test_incomparable_pairs_equal_the_argwhere_list_on_corpus_and_block_sums():
+    for r in corpus(1000) + block_sums():
+        pairs = incomparable_pairs(r)
+        assert pairs == reference_incomparable_pairs(r)
+        assert all(type(p) is Pair for p in pairs)
+        assert is_linear(r).witnesses == tuple(pairs)
 
 
 # ---------------------------------------------------------------- extends
