@@ -27,7 +27,6 @@ from .matrixio import (
     ParseError,
     _read_json,
     _read_text,
-    _value_text,
     emit_matrix,
     format_for_path,
     load_matrix,
@@ -97,13 +96,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _value_text(v: float) -> str:
+    return repr(int(v) if float(v).is_integer() else float(v))
+
+
 def _emit_result(args, relation, fmt, info, report):
-    document = emit_matrix(relation, args.format or fmt)
+    fmt = args.format or fmt
     if args.output:
-        Path(args.output).write_text(document, encoding="utf-8")
+        save_matrix(relation, args.output, fmt)
         info.append(f"wrote {args.output}")
     else:
-        report["output"] = document
+        report["output"] = emit_matrix(relation, fmt)
 
 
 def _cmd_check(args, report):

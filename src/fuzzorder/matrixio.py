@@ -5,6 +5,11 @@ followed by the element labels, and each following row is a label followed
 by that row's grades.  JSON documents are objects with an ``"elements"``
 array and a ``"matrix"`` array of rows.
 
+Parse errors carry 1-based (row, column) positions.  In CSV they are the
+(record, cell) of the document.  JSON grade and row-shape errors are
+positioned by ``"matrix"`` row and entry, not by text line and column;
+JSON syntax errors carry the text line and column.
+
 Grades are emitted with the shortest decimal representation that parses
 back to the identical binary64 value (integral grades are written without
 a fractional part), so parse -> emit -> parse is value-identical.
@@ -56,12 +61,6 @@ def detect_format(text: str) -> str:
     return "json" if text.removeprefix(_BOM).lstrip()[:1] == "{" else "csv"
 
 
-def _grade(value: float, text: str, row: int, col: int) -> float:
-    if not 0.0 <= value <= 1.0:  # also false for NaN
-        raise ParseError(f"value {text} outside [0, 1]", row, col)
-    return value
-
-
 def _read_json(text: str, name: str = ""):
     """Decode JSON text, reading integer literals of any length as floats.
 
@@ -76,41 +75,62 @@ def _read_json(text: str, name: str = ""):
         raise ParseError(f"{name}invalid JSON: arrays or objects nested too deeply") from None
 
 
-def _ascii_float(cell: str) -> float:
+def _csv_cells(cells: list[str]) -> list[float]:
     # float() also reads "_" between digits and non-ASCII digits such as
-    # "٠.٥"; a JSON number holds neither, and neither may a CSV grade cell.
-    if not cell.isascii() or "_" in cell:
-        raise ValueError(cell)
-    return float(cell)
+    # "٠.٥"; a JSON number holds neither, and neither may a CSV grade
+    # cell.  float() strips less whitespace than str.strip(), which the
+    # per-cell rescan applies first.
+    joined = "".join(cells)
+    if not joined.isascii() or "_" in joined:
+        raise ValueError(joined)
+    return list(map(float, cells))
 
 
-def _csv_row(cells: list[str], row: int) -> list[float]:
-    # One data row's grades, checked cell by cell so that the first bad cell
-    # of the row is the one reported.
+def _json_cells(row: list) -> list[float]:
+    if set(map(type, row)) != {float}:  # every JSON number is read as a float
+        raise ValueError(row)
+    return row
+
+
+def _rescan(cells, read_cells, prep) -> list[float]:
+    """The grades of ``cells`` read one at a time, up to the first malformed one."""
     grades = []
-    for j, cell in enumerate(cells, start=2):
+    for cell in cells:
         try:
-            value = _ascii_float(cell)
+            grades += read_cells([prep(cell)])
         except ValueError:
-            raise ParseError(f"malformed number {cell!r}", row, j) from None
-        grades.append(_grade(value, cell, row, j))
+            break
     return grades
 
 
-def _in_range(rows, cell_text, row0: int, col0: int) -> np.ndarray:
-    """The grid of parsed ``rows`` once every grade is checked to lie in [0, 1].
+def _grid(rows, read_cells, row0: int, col0: int, pending=None, prep=lambda cell: cell):
+    """The grid of ``rows`` of grade cells, or the document's first error.
 
-    Otherwise a ParseError at the row-major first grade outside, NaN
-    included; ``cell_text(i, j)`` gives the text of grid entry (i, j), which
-    sits at (row0 + i, col0 + j) in the document.  A parser checks the rows
-    read so far before raising a later row's error, so that the error it
-    reports is the first one in row-major order.
+    ``read_cells`` reads a whole row, raising ValueError on a malformed cell;
+    a row it refuses is rescanned.  Entry (i, j) sits at (row0 + i, col0 + j),
+    and ``pending`` is the parser's error in the row after ``rows``.  Raised,
+    in turn: the row-major first grade outside [0, 1] (NaN included), the
+    first malformed cell, ``pending``.
     """
-    grid = np.array(rows, dtype=np.float64)
+    grid = []
+    for i, cells in enumerate(rows):
+        try:
+            grid.append(read_cells(cells))
+        except ValueError:
+            grades = _rescan(cells, read_cells, prep)
+            j = len(grades)
+            # The grades before a malformed cell still meet the range check.
+            grid.append(grades + [0.0] * (len(cells) - j))
+            if j < len(cells):
+                pending = ParseError(f"malformed number {prep(cells[j])!r}", row0 + i, col0 + j)
+                break
+    grid = np.array(grid, dtype=np.float64)
     bad = ~((grid >= 0.0) & (grid <= 1.0))
     if bad.any():
         i, j = divmod(int(bad.argmax()), grid.shape[1])
-        raise ParseError(f"value {cell_text(i, j)} outside [0, 1]", row0 + i, col0 + j)
+        raise ParseError(f"value {prep(rows[i][j])} outside [0, 1]", row0 + i, col0 + j)
+    if pending is not None:
+        raise pending
     return grid
 
 
@@ -144,33 +164,20 @@ def _parse_csv(text: str) -> FuzzyRelation:
             len(lines),
             1,
         )
-    rows = []
-    cell_text = lambda i, j: lines[i + 1][j + 1].strip()
+    rows, pending = [], None
     for i, line in enumerate(lines[1:], start=2):
         if len(line) != n + 1:
-            _in_range(rows, cell_text, 2, 2)
-            raise ParseError(f"expected {n + 1} cells, got {len(line)}", i, len(line) + 1)
+            pending = ParseError(f"expected {n + 1} cells, got {len(line)}", i, len(line) + 1)
+            break
         label = line[0].strip()
         if label != labels[i - 2]:
-            _in_range(rows, cell_text, 2, 2)
-            raise ParseError(
-                f"row label {label!r} does not match header label {labels[i - 2]!r}",
-                i,
-                1,
+            pending = ParseError(
+                f"row label {label!r} does not match header label {labels[i - 2]!r}", i, 1
             )
-        # _ascii_float's test, made once for the row.  float() strips the same
-        # whitespace that str.strip() does, so the cells need no stripping.
-        grades = line[1:]
-        joined = "".join(grades)
-        if joined.isascii() and "_" not in joined:
-            try:
-                rows.append(list(map(float, grades)))
-                continue
-            except ValueError:
-                pass
-        _in_range(rows, cell_text, 2, 2)
-        rows.append(_csv_row(list(map(str.strip, grades)), i))
-    return FuzzyRelation._on_carrier_of(tuple(labels), _in_range(rows, cell_text, 2, 2))
+            break
+        rows.append(line[1:])
+    grid = _grid(rows, _csv_cells, 2, 2, pending, str.strip)
+    return FuzzyRelation._on_carrier_of(tuple(labels), grid)
 
 
 def _parse_json(text: str) -> FuzzyRelation:
@@ -189,19 +196,13 @@ def _parse_json(text: str) -> FuzzyRelation:
     n = len(labels)
     if len(matrix) != n:
         raise ParseError(f"expected {n} matrix rows, got {len(matrix)}")
-    # positions below are matrix coordinates (1-based), not text coordinates
-    cell_text = lambda i, j: repr(matrix[i][j])
+    rows, pending = [], None
     for i, row in enumerate(matrix, start=1):
         if not isinstance(row, list) or len(row) != n:
-            _in_range(matrix[: i - 1], cell_text, 1, 1)
-            raise ParseError(f"matrix row {i} must have {n} entries", i, 1)
-        if set(map(type, row)) != {float}:  # every JSON number is read as a float
-            _in_range(matrix[: i - 1], cell_text, 1, 1)
-            for j, cell in enumerate(row, start=1):
-                if not isinstance(cell, float):
-                    raise ParseError(f"malformed number {cell!r}", i, j)
-                _grade(cell, repr(cell), i, j)
-    return FuzzyRelation._on_carrier_of(tuple(labels), _in_range(matrix, cell_text, 1, 1))
+            pending = ParseError(f"matrix row {i} must have {n} entries", i, 1)
+            break
+        rows.append(row)
+    return FuzzyRelation._on_carrier_of(tuple(labels), _grid(rows, _json_cells, 1, 1, pending))
 
 
 def parse_matrix(text: str, fmt: str | None = None) -> FuzzyRelation:
@@ -218,10 +219,6 @@ def parse_matrix(text: str, fmt: str | None = None) -> FuzzyRelation:
     if fmt == "json":
         return _parse_json(text)
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-
-
-def _value_text(v: float) -> str:
-    return repr(int(v) if float(v).is_integer() else float(v))
 
 
 def _cells(grid: np.ndarray) -> np.ndarray:

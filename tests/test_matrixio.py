@@ -112,12 +112,45 @@ def test_parse_csv_keeps_accepting_signs_bare_fractions_exponents_and_spaces(lab
     ('{"elements":["a","b"],"matrix":[[1,0],[NaN,"x"]]}', "value nan outside [0, 1] (row 2, column 1)"),
     ('{"elements":["a","b"],"matrix":[[1,0],["x",NaN]]}', "malformed number 'x' (row 2, column 1)"),
     ('{"elements":["a","b"],"matrix":[[1,0],[0,-1]]}', "value -1.0 outside [0, 1] (row 2, column 2)"),
+    # A row of U+00A0-padded cells fails the row-wide test, is rescanned and accepted.
+    (",a,b\na,1,\xa00\xa0\nb,0,1.5\n", "value 1.5 outside [0, 1] (row 3, column 3)"),
+    (",a,b\na,1,\xa00\xa0\nb,0\n", "expected 3 cells, got 2 (row 3, column 3)"),
+    (",a,b\na,1,\xa02\xa0\nb,0,x\n", "value 2 outside [0, 1] (row 2, column 3)"),
+    (",a,b,c\na,1,\xa00,7\nb,0,1,x\nc,0,0,1\n", "value 7 outside [0, 1] (row 2, column 4)"),
+    (",a,b\na,1,0\nc,0,x\n", "row label 'c' does not match header label 'b' (row 3, column 1)"),
+    ('{"elements":["a","b"],"matrix":[[1,2],[true,1]]}',
+     "value 2.0 outside [0, 1] (row 1, column 2)"),
+    ('{"elements":["a","b","c"],"matrix":[[1,0,5],[0,1,true],[0,0,1]]}',
+     "value 5.0 outside [0, 1] (row 1, column 3)"),
+    ('{"elements":["a","b"],"matrix":[[1,true],[0]]}', "malformed number True (row 1, column 2)"),
 ])
 def test_parse_reports_the_first_error_in_row_major_order(text, message):
     """A grade error in an earlier row beats a structural error in a later one."""
     with pytest.raises(ParseError) as exc:
         parse_matrix(text)
     assert str(exc.value) == message
+
+
+class _Rescanned(Exception):
+    pass
+
+
+def test_valid_documents_never_reach_the_per_cell_rescan(monkeypatch):
+    """Every row of a valid document is read by its format's row-wide reader."""
+    def refuse(*args):
+        raise _Rescanned
+    monkeypatch.setattr(matrixio, "_rescan", refuse)
+    paths = [*FIXTURES.glob("*.csv"), *FIXTURES.glob("*.json")]
+    relations = [load_matrix(path)[0] for path in sorted(paths)]
+    large = [r for r in block_sums() if r.n >= 96]
+    assert len(relations) >= 5 and large
+    for r in relations + large:
+        for fmt in ("csv", "json"):
+            assert parse_matrix(emit_matrix(r, fmt), fmt) == r
+    with pytest.raises(_Rescanned):
+        parse_matrix(",a,b\na,1,\xa00\xa0\nb,0,1\n")
+    with pytest.raises(_Rescanned):
+        parse_matrix('{"elements":["a"],"matrix":[[true]]}')
 
 
 @pytest.mark.parametrize("space", ["\u00a0", "\x1c", "\u2003"])
