@@ -5,6 +5,12 @@ semantic failure (axiom violations found, intersection mismatch, or an
 operation precondition that does not hold), 2 means a usage or input error
 (unknown command, missing file, malformed document, bad flag values).
 
+:func:`run_command` is the one place that reads the input matrix and writes
+the output matrix; each handler only computes and fills the one report, and
+returns its exit code, its summary lines and the relation it produced (or
+None).  The output format is ``--format``, else the input format; ``gen``
+has no input, so it takes the ``-o`` extension, or CSV on stdout.
+
 In human mode, matrix documents go to stdout and summary lines to stderr so
 output can be piped; ``--json`` switches to a single machine-readable report
 on stdout with the stable keys {command, verdicts, witnesses, trace, family,
@@ -28,7 +34,6 @@ from .matrixio import (
     _read_json,
     _read_text,
     emit_matrix,
-    format_for_path,
     load_matrix,
     parse_matrix,
     save_matrix,
@@ -39,7 +44,7 @@ from .relation import (
     EmptyFamilyError,
     FuzzyOrderError,
     PreconditionError,
-    _incomparable_pairs,
+    _incomparable,
     check_order,
 )
 
@@ -100,21 +105,11 @@ def _value_text(v: float) -> str:
     return repr(int(v) if float(v).is_integer() else float(v))
 
 
-def _emit_result(args, relation, fmt, info, report):
-    fmt = args.format or fmt
-    if args.output:
-        save_matrix(relation, args.output, fmt)
-        info.append(f"wrote {args.output}")
-    else:
-        report["output"] = emit_matrix(relation, fmt)
-
-
-def _cmd_check(args, report):
-    relation, _ = load_matrix(args.file)
+def _cmd_check(args, relation, report):
     axioms = check_order(relation)
     # The incomparable pairs as labels, gathered without building Pairs.
     labels = np.array(relation.labels, dtype=object)
-    i, j = _incomparable_pairs(relation.grid)
+    i, j = _incomparable(relation.grid).nonzero()
     pairs = np.stack((labels[i], labels[j]), axis=1).tolist()
     linear = not pairs
     report["verdicts"] = {
@@ -125,9 +120,9 @@ def _cmd_check(args, report):
         "linear": linear,
     }
     report["witnesses"] = {
-        "reflexivity": [[x, v] for x, v in axioms.reflexivity_witnesses],
-        "antisymmetry": [[list(p), f, b] for p, f, b in axioms.antisymmetry_witnesses],
-        "transitivity": [[list(t), v, bound] for t, v, bound in axioms.transitivity_witnesses],
+        "reflexivity": axioms.reflexivity_witnesses,
+        "antisymmetry": axioms.antisymmetry_witnesses,
+        "transitivity": axioms.transitivity_witnesses,
         "incomparable_pairs": pairs,
     }
     yn = lambda flag: "yes" if flag else "no"
@@ -147,11 +142,10 @@ def _cmd_check(args, report):
             f"transitivity violated at ({x},{y},{z}): "
             f"r({x},{z})={_value_text(v)} < {_value_text(bound)}"
         )
-    return (0 if axioms.is_order else 1), info
+    return (0 if axioms.is_order else 1), info, None
 
 
-def _cmd_linearize(args, report):
-    relation, fmt = load_matrix(args.file)
+def _cmd_linearize(args, relation, report):
     result = linearize(relation, policy=args.policy)
     report["verdicts"] = {"zadeh_order": True, "linear": True}
     report["trace"] = {
@@ -165,7 +159,7 @@ def _cmd_linearize(args, report):
             {
                 "a": step.a.label,
                 "b": step.b.label,
-                "entries_raised": [[list(xy), old, new] for xy, old, new in step.entries_raised],
+                "entries_raised": step.entries_raised,
             }
             for step in result.trace
         ]
@@ -173,23 +167,19 @@ def _cmd_linearize(args, report):
             info.append(f"pivot {step.step_index}: {step.a.label} above {step.b.label}")
             for (x, y), old, new in step.entries_raised:
                 info.append(f"  ({x},{y}): {_value_text(old)} -> {_value_text(new)}")
-    _emit_result(args, result.relation, fmt, info, report)
-    return 0, info
+    return 0, info, result.relation
 
 
-def _cmd_pivot(args, report):
-    relation, fmt = load_matrix(args.file)
+def _cmd_pivot(args, relation, report):
     extended = pivot_extend(relation, args.a, args.b)
     changed = int((extended.grid != relation.grid).sum())
     report["verdicts"] = {"zadeh_order": True}
     report["trace"] = {"k": 1, "m": None, "pivots": [[args.a, args.b]]}
     info = [f"pivot applied: {args.a} above {args.b} ({changed} entries raised)"]
-    _emit_result(args, extended, fmt, info, report)
-    return 0, info
+    return 0, info, extended
 
 
-def _cmd_clamp(args, report):
-    relation, fmt = load_matrix(args.file)
+def _cmd_clamp(args, relation, report):
     result = clamp_extend(relation, args.a, args.b)
     report["verdicts"] = {"zadeh_order": True, "linear": True}
     report["trace"] = {
@@ -197,18 +187,16 @@ def _cmd_clamp(args, report):
         "preserved_pair": [args.a, args.b],
     }
     info = [f"linear extension preserving ({args.a},{args.b}) = {_value_text(result.beta)}"]
-    _emit_result(args, result.relation, fmt, info, report)
-    return 0, info
+    return 0, info, result.relation
 
 
-def _cmd_family(args, report):
-    relation, fmt = load_matrix(args.file)
+def _cmd_family(args, relation, report):
     family = certifying_family(relation)
     report["verdicts"] = {"zadeh_order": True}
     report["family"] = {
         "members": len(family),
         "certificates": family.certificate_count,
-        "tags": [list(member.tags) for member in family.members],
+        "tags": [member.tags for member in family.members],
         "built": family.built,
     }
     info = [
@@ -216,14 +204,13 @@ def _cmd_family(args, report):
         f"{family.certificate_count} certificates"
     ]
     if args.output:
-        out_fmt = args.format or fmt
         directory = Path(args.output)
         directory.mkdir(parents=True, exist_ok=True)
         manifest = []
         for idx, member in enumerate(family.members):
-            name = f"member_{idx:03d}.{out_fmt}"
-            save_matrix(member.relation, directory / name, out_fmt)
-            manifest.append({"file": name, "tags": list(member.tags)})
+            name = f"member_{idx:03d}.{args.format}"
+            save_matrix(member.relation, directory / name, args.format)
+            manifest.append({"file": name, "tags": member.tags})
         (directory / "family.json").write_text(
             json.dumps({"source": args.file, "members": manifest}, indent=2) + "\n",
             encoding="utf-8",
@@ -232,7 +219,7 @@ def _cmd_family(args, report):
     else:
         for member in family.members:
             info.append("member tags: " + ", ".join(member.tags))
-    return 0, info
+    return 0, info, None
 
 
 def _manifest_paths(manifest: Path, inside) -> list[Path]:
@@ -282,29 +269,26 @@ def _read_family_dir(directory: Path):
     return members
 
 
-def _cmd_verify(args, report):
-    relation, _ = load_matrix(args.file)
+def _cmd_verify(args, relation, report):
     members = _read_family_dir(Path(args.family_dir))
     verdict = verify_intersection(relation, members)
     report["verdicts"] = {"intersection_matches": verdict.passed}
-    report["witnesses"] = [[list(xy), inf, expected] for xy, inf, expected in verdict.witnesses]
+    report["witnesses"] = verdict.witnesses
     report["family"] = {"members": len(members)}
     info = [f"intersection matches: {'yes' if verdict.passed else 'no'}"]
     for (x, y), inf, expected in verdict.witnesses:
         info.append(
             f"mismatch at ({x},{y}): inf={_value_text(inf)}, expected {_value_text(expected)}"
         )
-    return (0 if verdict.passed else 1), info
+    return (0 if verdict.passed else 1), info, None
 
 
-def _cmd_gen(args, report):
+def _cmd_gen(args, _, report):
     spec = GeneratorSpec(n=args.n, density=args.density, seed=args.seed)
     relation = random_zadeh_order(spec)
     report["verdicts"] = {"zadeh_order": True}
     info = [f"generated order on {spec.n} elements (density {spec.density}, seed {spec.seed})"]
-    default_fmt = format_for_path(args.output) if args.output else "csv"
-    _emit_result(args, relation, default_fmt, info, report)
-    return 0, info
+    return 0, info, relation
 
 
 _parser = functools.cache(build_parser)  # built on first use, not at import
@@ -328,7 +312,14 @@ def run_command(argv: list[str]) -> int:
     }
     started = time.perf_counter()
     try:
-        code, info = args.handler(args, report)
+        relation, fmt = load_matrix(args.file) if "file" in args else (None, None)
+        args.format = getattr(args, "format", None) or fmt
+        code, info, result = args.handler(args, relation, report)
+        if result is not None and args.output:
+            save_matrix(result, args.output, args.format)  # None: the -o extension
+            info.append(f"wrote {args.output}")
+        elif result is not None:
+            report["output"] = emit_matrix(result, args.format or "csv")
     except (FuzzyOrderError, OSError, KeyError, ValueError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

@@ -371,17 +371,12 @@ def is_linear(r: FuzzyRelation) -> Verdict:
     return _verdict(incomparable_pairs(r))
 
 
-def _incomparable_pairs(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The index arrays (i, j) of the incomparable pairs i < j, row-major.
-    return _incomparable(grid).nonzero()
-
-
 def incomparable_pairs(r: FuzzyRelation) -> list[Pair]:
     """All unordered pairs with grade zero in both directions, row-major.
 
     Pairs are canonicalized with the lower-indexed element first.
     """
-    i, j = _incomparable_pairs(r.grid)
+    i, j = _incomparable(r.grid).nonzero()
     elems = np.empty(r.n, dtype=object)
     elems[:] = r.elements
     return list(map(Pair, elems[i].tolist(), elems[j].tolist()))

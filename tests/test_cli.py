@@ -11,6 +11,7 @@ import pytest
 
 import fuzzorder
 from fuzzorder import FuzzyRelation, emit_matrix, linearize, load_matrix, parse_matrix
+from fuzzorder.matrixio import detect_format
 from fuzzorder.cli import build_parser, run_command
 
 from conftest import (
@@ -322,6 +323,47 @@ def test_gen_bad_flags_exit_two():
     assert run_command(["gen", "--n", "4", "--density", "2.0", "--seed", "1"]) == 2
 
 
+# Each command that writes a matrix, with the arguments that follow its input file.
+MATRIX_COMMANDS = {
+    "linearize": [],
+    "pivot": ["--a", "a", "--b", "b"],
+    "clamp": ["--a", "a", "--b", "c"],
+    "family": [],
+    "gen": ["--n", "4", "--density", "0.5", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize(
+    "name, source, flag, dest",
+    [
+        (name, source, flag, dest)
+        for name in MATRIX_COMMANDS
+        for source in ([None] if name == "gen" else ["csv", "json"])
+        for flag in (None, "csv", "json")
+        for dest in (["out.csv", "out.json"] if name == "family" else [None, "out.csv", "out.json"])
+    ],
+)
+def test_output_format_is_the_flag_else_the_input_format(tmp_path, capsys, name, source, flag,
+                                                         dest):
+    """``gen`` has no input: it takes the -o extension, or CSV on stdout."""
+    argv = [name] + ([str(FIXTURES / f"order3.{source}")] if source else [])
+    argv += MATRIX_COMMANDS[name] + (["--format", flag] if flag else [])
+    argv += ["-o", str(tmp_path / dest)] if dest else []
+    assert run_command(argv) == 0
+    if dest is None:
+        written = {"stdout": capsys.readouterr().out}
+    elif name == "family":
+        members = sorted((tmp_path / dest).glob("member_*"))
+        written = {p.name: p.read_text(encoding="utf-8") for p in members}
+        assert members and all(p.suffix == f".{flag or source}" for p in members)
+    else:
+        written = {dest: (tmp_path / dest).read_text(encoding="utf-8")}
+    expected = flag or source or (dest.rsplit(".", 1)[1] if dest else "csv")
+    for where, text in written.items():
+        assert detect_format(text) == expected, where
+        parse_matrix(text, expected)
+
+
 # ---------------------------------------------------------------- contract
 
 
@@ -419,6 +461,48 @@ def test_json_family_report_counts_members_before_merging(capsys):
     assert run_command(["family", ORDER7, "--json"]) == 0
     family = json.loads(capsys.readouterr().out)["family"]
     assert (family["built"], family["members"], family["certificates"]) == (25, 12, 25)
+
+
+def _report_text(argv, code, capsys):
+    # The --json report as json.dumps writes it, without command and timing.
+    assert run_command([*argv, "--json"]) == code
+    report = json.loads(capsys.readouterr().out)
+    del report["command"], report["timing"]
+    return json.dumps(report)
+
+
+def test_json_payloads_are_pinned_byte_for_byte(tmp_path, capsys):
+    bad = tmp_path / "bad3.csv"
+    bad.write_text(",a,b,c\na,0.5,0.3,0\nb,0.2,1,0.7\nc,0,0,1\n", encoding="utf-8")
+    assert _report_text(["check", str(bad)], 1, capsys) == (
+        '{"verdicts": {"zadeh_order": false, "reflexive": false, "antisymmetric": false, '
+        '"transitive": false, "linear": false}, '
+        '"witnesses": {"reflexivity": [["a", 0.5]], "antisymmetry": [[["a", "b"], 0.3, 0.2]], '
+        '"transitivity": [[["a", "b", "c"], 0.0, 0.3]], "incomparable_pairs": [["a", "c"]]}, '
+        '"trace": null, "family": null}'
+    )
+    assert _report_text(["linearize", ORDER3, "--trace"], 0, capsys) == (
+        '{"verdicts": {"zadeh_order": true, "linear": true}, "witnesses": null, '
+        '"trace": {"k": 2, "m": 4, "pivots": [["a", "b"], ["b", "c"]], "steps": ['
+        '{"a": "a", "b": "b", "entries_raised": [[["a", "b"], 0.0, 1.0]]}, '
+        '{"a": "b", "b": "c", "entries_raised": [[["a", "c"], 0.4, 1.0], [["b", "c"], 0.0, 1.0]]}'
+        ']}, "family": null, "output": ",a,b,c\\na,1,1,1\\nb,0,1,1\\nc,0,0,1\\n"}'
+    )
+    assert _report_text(["family", ORDER3], 0, capsys) == (
+        '{"verdicts": {"zadeh_order": true}, "witnesses": null, "trace": null, '
+        '"family": {"members": 4, "certificates": 5, "tags": [["orients(a,b)", "orients(b,c)"], '
+        '["orients(b,a)"], ["orients(c,b)"], ["preserves(a,c)"]], "built": 5}}'
+    )
+    fam_dir = tmp_path / "family"
+    assert run_command(["family", ORDER3, "-o", str(fam_dir)]) == 0
+    member = fam_dir / "member_001.csv"
+    assert member.read_text(encoding="utf-8") == ",a,b,c\na,1,0,0.4\nb,1,1,0.4\nc,0,0,1\n"
+    member.write_text(",a,b,c\na,1,0,0.2\nb,1,1,0.4\nc,0,0,1\n", encoding="utf-8")
+    capsys.readouterr()
+    assert _report_text(["verify", ORDER3, "--family", str(fam_dir)], 1, capsys) == (
+        '{"verdicts": {"intersection_matches": false}, "witnesses": [[["a", "c"], 0.2, 0.4]], '
+        '"trace": null, "family": {"members": 4}}'
+    )
 
 
 def test_cli_is_thin_adapter(capsys, order7):

@@ -136,10 +136,10 @@ def damaged_documents(draw):
         elif kind == "long":
             row.append("0" if csv_doc else 0.0)
         elif kind == "label":
-            if csv_doc:
-                row[0] = draw(st.sampled_from(["zz", r.labels[-1], ""]))
-            else:
+            if not csv_doc:
                 rows[i] = draw(st.sampled_from([0.5, "row", None, {}]))
+            elif row:  # "short" damages can empty a CSV row, label and all
+                row[0] = draw(st.sampled_from(["zz", r.labels[-1], ""]))
         elif kind == "rows":
             rows.pop()
     if csv_doc:
