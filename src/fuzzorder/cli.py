@@ -63,9 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
         return names, options
 
     def command(name, handler, help, *flags, file=True,
-                output="write the resulting matrix here"):
+                output="write the resulting matrix here", fmt="input format"):
         # ``flags`` come from ``flag``; ``output`` is the help of -o, or None
-        # for a command that writes no matrix.
+        # for a command that writes no matrix; ``fmt`` names the default of
+        # --format.
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         if file:
@@ -76,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         if output:
             p.add_argument("-o", "--output", help=output)
             p.add_argument(
-                "--format", choices=("csv", "json"), help="output format (default: input format)"
+                "--format", choices=("csv", "json"), help=f"output format (default: {fmt})"
             )
 
     command("check", _cmd_check, "validate the order axioms and linearity", output=None)
@@ -97,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
             output=None)
     command("gen", _cmd_gen, "generate a reproducible random order",
             flag("--n", type=int, required=True), flag("--density", type=float, required=True),
-            flag("--seed", type=int, required=True), file=False)
+            flag("--seed", type=int, required=True), file=False,
+            fmt="the -o extension, else csv")
     return parser
 
 

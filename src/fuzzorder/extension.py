@@ -24,8 +24,9 @@ b has r(b, a) = 0.  So the run as a whole is one update
 of the rows x with r(x, a) > 0, and its pivots are the pairs still
 incomparable when reached: b is skipped iff r(a, b) > 0 or r(b, a) > 0 when
 the run starts, or an earlier pivot's bottom b' has r(b', b) > 0.  Every
-pivot's trace comes from the run's one block, so a run of any length costs
-one vectorized update and one vectorized trace pass.
+run of any length costs one vectorized update.  The trace is not kept
+from these updates: on first read it is replayed from the pivot list, one
+pivot at a time, on a copy of the input grid.
 """
 
 from __future__ import annotations
@@ -72,22 +73,27 @@ class PivotStep:
     entries_raised: tuple[tuple[tuple[str, str], float, float], ...]
 
     @classmethod
-    def _from_raised(cls, a, b, step_index, raised, span) -> "PivotStep":
-        # A step whose entries are raised[span], built on first read.
+    def _replayed(cls, a, b, step_index, replay) -> "PivotStep":
+        # A step whose entries are replay[step_index - 1], built on first read.
         step = object.__new__(cls)
-        fields = {"a": a, "b": b, "step_index": step_index, "_span": (raised, span)}
+        fields = {"a": a, "b": b, "step_index": step_index, "_replay": replay}
         object.__setattr__(step, "__dict__", fields)
         return step
 
     def __getattr__(self, name):
         # Reached only for an attribute not yet set: the entries_raised of a
-        # step made by _from_raised.
-        if name != "entries_raised" or "_span" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        raised, span = self.__dict__.pop("_span")
-        entries = raised[span]
-        object.__setattr__(self, "entries_raised", entries)
-        return entries
+        # step made by _replayed.  The entries are stored before the replay
+        # handle is dropped, so a thread that reads at the same time finds
+        # one or the other.
+        fields = self.__dict__
+        if name == "entries_raised":
+            replay = fields.get("_replay")
+            if replay is not None:
+                object.__setattr__(self, name, replay[self.step_index - 1])
+                fields.pop("_replay", None)
+            if name in fields:
+                return fields[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -130,12 +136,6 @@ def pivot_extend(r: FuzzyRelation, a: ElementLike, b: ElementLike) -> FuzzyRelat
     return FuzzyRelation._on_carrier_of(r, _pivot_grid(r.grid, ia, ib))
 
 
-# The byte budget of one slab of temporaries: of a run's trace test here, and
-# of the certifying family's stacked member grids, so that the family of any
-# order with n <= 22 fits in one slab.
-_SLAB_BYTES = 2 << 20
-
-
 def _runs(g, pairs, flips=None):
     # The linearization loop described above, unchecked, in place on the
     # writable order grid g.  ``pairs`` = _incomparable(g).nonzero(): g's
@@ -143,9 +143,8 @@ def _runs(g, pairs, flips=None):
     # ``flips`` marks the pairs whose pivot puts j above i (None: none does).
     # Consecutive pairs (i, j) with the same i and flip form a run, which puts
     # a = i above each of its bottoms j in turn in h = g, or in h = g.T when
-    # flipped.  Yields (flipped, a, bottoms, rows, c, cols, bottoms' rows,
-    # block before, block after) per run that pivots, where the block is
-    # h[rows][:, cols] and c = h[rows, a].
+    # flipped.  Yields (flipped, a, bottoms) per run that pivots, after
+    # applying it.
     first, second = pairs
     key = first if flips is None else 2 * first + flips
     starts = [0, *((key[1:] != key[:-1]).nonzero()[0] + 1).tolist()] if len(key) else []
@@ -171,17 +170,14 @@ def _runs(g, pairs, flips=None):
             np.logical_not(later, out=keep[1:])
             bottoms, below = bottoms[keep], below[keep]
         rows = col.nonzero()[0]
-        c = col[rows]
         top = below[0] if len(below) == 1 else np.maximum.reduce(below)
-        # h[x, y] >= min(c_x, h[a, y]), so only columns y with
+        # h[x, y] >= min(h[x, a], h[a, y]), so only columns y with
         # top[y] > h[a, y] can rise.
         cols = (top > h[a]).nonzero()[0]
         at = rows[:, None]
-        block = h[at, cols]
-        new = np.minimum.outer(c, top[cols])
-        np.maximum(new, block, out=new)
-        h[at, cols] = new
-        yield flipped, a, bottoms, rows, c, cols, below, block, new
+        new = np.minimum.outer(col[rows], top[cols])
+        h[at, cols] = np.maximum(new, h[at, cols], out=new)
+        yield flipped, a, bottoms
 
 
 def _linear_grid(grid: np.ndarray) -> np.ndarray:
@@ -192,43 +188,6 @@ def _linear_grid(grid: np.ndarray) -> np.ndarray:
     return g
 
 
-def _raised(flipped, rows, c, cols, below, block, new):
-    # The entries one run of _runs raises, in trace order: pivot by pivot,
-    # row-major within a pivot, in g's coordinates.  Returns each pivot's
-    # count of them and a list of (x, y, old, new) arrays.  Pivot t raises
-    # (x, y) iff min(c_x, V_t[y]) > max(P[y], block[x, y]), where V_t is
-    # bottom t's row and P the max of the rows before it; the two sides are
-    # the new grade and the old one.  Only the entries the run raises at all
-    # are tested, for slabs of pivots whose temporaries fit in _SLAB_BYTES
-    # (one pivot at least, whose temporaries are no larger than the block).
-    up = new > block
-    if flipped:
-        ys, xs = up.T.nonzero()
-    else:
-        xs, ys = up.nonzero()
-    x, y = rows[xs], cols[ys]
-    if flipped:
-        x, y = y, x
-    if len(below) == 1:
-        return [len(xs)], [(x, y, block[xs, ys], new[xs, ys])]
-    base, cx, cy = block[xs, ys], c[xs], cols[ys]
-    counts, parts = [], []
-    seen = np.zeros(len(xs))  # P at the slab's first pivot
-    height = max(1, _SLAB_BYTES // (8 * len(xs)))
-    for lo in range(0, len(below), height):
-        v = below[lo:lo + height, cy]
-        p = np.empty_like(v)
-        p[0], p[1:] = seen, v[:-1]
-        np.maximum.accumulate(p, out=p)
-        seen = np.maximum(p[-1], v[-1])
-        np.maximum(p, base, out=p)
-        np.minimum(v, cx, out=v)
-        ts, us = (v > p).nonzero()
-        counts += np.bincount(ts, minlength=len(v)).tolist()
-        parts.append((x[us], y[us], p[ts, us], v[ts, us]))
-    return counts, parts
-
-
 def _entry_tuples(labels, xs, ys, old, new) -> list:
     # The trace tuples ((x_label, y_label), old, new) of raised entries given
     # as index arrays x, y into the carrier's labels and grade arrays old, new.
@@ -236,19 +195,42 @@ def _entry_tuples(labels, xs, ys, old, new) -> list:
     return list(zip(zip(names[xs].tolist(), names[ys].tolist()), old.tolist(), new.tolist()))
 
 
-class _RaisedEntries:
-    # The entries one linearization raised, in trace order, as the arrays
-    # _entry_tuples takes.  The first read of any step's entries builds the
-    # tuples of all of them, since a caller who reads one step's entries
-    # tends to read every step's.
-    def __init__(self, labels, arrays):
-        self._labels, self._arrays, self._tuples = labels, arrays, None
+def _replay_steps(r: FuzzyRelation, tops, bottoms) -> list:
+    # The entries_raised of each pivot tops[t] above bottoms[t] of a
+    # linearization of r, found by applying the pivots in turn to a copy of
+    # r's grid g.  Pivot (a, b) raises (x, y) only if g[x, a] > 0 and
+    # g[b, y] > g[a, y]: g is an order after every pivot, so elsewhere
+    # g[x, y] >= min(g[x, a], g[a, y]) >= min(g[x, a], g[b, y]).
+    g = np.array(r.grid)
+    counts, parts = [], []
+    for a, b in zip(tops, bottoms):
+        rows = g[:, a].nonzero()[0]
+        cols = (g[b] > g[a]).nonzero()[0]
+        at = rows[:, None]
+        old = g[at, cols]
+        new = np.minimum.outer(g[rows, a], g[b, cols])
+        xs, ys = (new > old).nonzero()
+        counts.append(len(xs))
+        parts.append((rows[xs], cols[ys], old[xs, ys], new[xs, ys]))
+        g[at, cols] = np.maximum(old, new, out=new)
+    entries = _entry_tuples(r.labels, *map(np.concatenate, zip(*parts)))
+    ends = list(accumulate(counts))
+    return [tuple(entries[lo:hi]) for lo, hi in zip([0] + ends, ends)]
 
-    def __getitem__(self, span: slice) -> tuple:
-        if self._tuples is None:
-            self._tuples = _entry_tuples(self._labels, *self._arrays)
-            self._arrays = None
-        return tuple(self._tuples[span])
+
+class _Replay:
+    # The pivots of one linearization, shared by its steps.  The first read
+    # of any step's entries replays every step's, since a caller who reads
+    # one step's entries tends to read them all.  Threads that read at once
+    # may each replay; setdefault publishes the first result to all of them.
+    def __init__(self, r, tops, bottoms):
+        self._inputs = r, tops, bottoms
+
+    def __getitem__(self, k: int) -> tuple:
+        steps = self.__dict__.get("_steps")
+        if steps is None:
+            steps = self.__dict__.setdefault("_steps", _replay_steps(*self._inputs))
+        return steps[k]
 
 
 def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationResult:
@@ -271,14 +253,14 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
     changes i's column or the row of any of the run's other elements, so
     each run is applied as one grid update, which raises (x, y) to the min
     of r(x, i) and the max of those elements' grades at y wherever that is
-    higher (with rows and columns swapped when i goes below).  Each pivot's
-    trace is read from that update, and grid, trace and k are those of
-    pivoting one pair at a time.  The trace keeps the raised entries as
-    arrays; the ``entries_raised`` tuples of every step are built the first
-    time any step's are read, so a caller who reads only k, m and the
-    pivots never pays for them.  The order precondition reads a verdict
-    that :func:`~fuzzorder.check_order` recorded on ``r`` instead of checking
-    again.
+    higher (with rows and columns swapped when i goes below).  Grid, trace
+    and k are those of pivoting one pair at a time.  The trace keeps only
+    the pivots: the first time any step's ``entries_raised`` are read, the
+    pivots are replayed one at a time on the input grid to build every
+    step's, so a caller who reads only k, m and the pivots never pays for
+    them.  Steps may be read from several threads at once.  The order
+    precondition reads a verdict that :func:`~fuzzorder.check_order`
+    recorded on ``r`` instead of checking again.
 
     Equal inputs produce identical traces and outputs.
     """
@@ -301,22 +283,17 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
         flips = np.ones(len(pairs[0]), dtype=bool)
     else:
         flips = None
-    tops, bottoms, counts, parts = [], [], [], []
-    for flipped, a, pivots, *run in _runs(grid, pairs, flips):
-        sizes, entries = _raised(flipped, *run)
-        counts += sizes
-        parts += entries
+    tops, bottoms = [], []
+    for flipped, a, pivots in _runs(grid, pairs, flips):
         pivots = pivots.tolist()
         tops += pivots if flipped else [a] * len(pivots)
         bottoms += [a] * len(pivots) if flipped else pivots
     trace: tuple[PivotStep, ...] = ()
     if tops:
-        raised = _RaisedEntries(r.labels, [np.concatenate(p) for p in zip(*parts)])
-        ends = list(accumulate(counts))
-        elems, step = r.elements, PivotStep._from_raised
+        replay, elems = _Replay(r, tops, bottoms), r.elements
         trace = tuple(
-            step(elems[a], elems[b], k + 1, raised, slice(lo, hi))
-            for k, (a, b, lo, hi) in enumerate(zip(tops, bottoms, [0] + ends, ends))
+            PivotStep._replayed(elems[a], elems[b], k, replay)
+            for k, (a, b) in enumerate(zip(tops, bottoms), start=1)
         )
     relation = FuzzyRelation._on_carrier_of(r, grid)
     return LinearizationResult(relation, trace, len(tops), 2 * len(pairs[0]))

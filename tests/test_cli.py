@@ -364,6 +364,17 @@ def test_output_format_is_the_flag_else_the_input_format(tmp_path, capsys, name,
         parse_matrix(text, expected)
 
 
+@pytest.mark.parametrize("name, default", [
+    ("gen", "the -o extension, else csv"),
+    ("linearize", "input format"),
+])
+def test_format_help_states_the_real_default(capsys, name, default):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([name, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"output format (default: {default})" in text
+
+
 # ---------------------------------------------------------------- contract
 
 

@@ -2,7 +2,10 @@
 
 import copy
 import dataclasses
+import functools
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -41,7 +44,7 @@ from conftest import (
     ORDER7_LINEAR_GRID,
     identity_relation,
 )
-from genutil import block_sum, corpus, rescan_linearization
+from genutil import block_sum, block_sums, corpus, rescan_linearization
 
 
 # ---------------------------------------------------------------- pivot
@@ -312,11 +315,16 @@ def test_linearize_matches_rescan_under_random_flips_on_block_sums(sizes, ordina
         _assert_policy_matches_rescan(r, *_random_flips(r, seed))
 
 
+@functools.cache
+def _largest_block_sum(ordinal):
+    # The n = 192 disjoint or ordinal sum of genutil.block_sums()
+    return block_sums()[-1 if ordinal else -2]
+
+
 @pytest.mark.parametrize("ordinal", [False, True])
-def test_linearize_matches_rescan_with_tiny_trace_slabs(monkeypatch, ordinal):
-    """The trace test of a long run, split into slabs of a few entries each."""
-    monkeypatch.setattr(extension, "_SLAB_BYTES", 300)
-    _assert_matches_rescan(_block_sum((12,) * 8, ordinal))
+def test_linearize_matches_rescan_on_the_largest_block_sums(ordinal):
+    """The disjoint sum's trace has thousands of pivots, each replayed on read."""
+    _assert_matches_rescan(_largest_block_sum(ordinal))
 
 
 def test_runs_batch_the_pivots_of_a_disjoint_sum():
@@ -345,14 +353,14 @@ def test_linear_grid_matches_rescan_on_block_sums(sizes, ordinal):
 # ------------------------------------------------- trace tuples built on read
 
 
-class _EntryTuplesBuilt(Exception):
+class _TraceReplayed(Exception):
     pass
 
 
-def _refuse_entry_tuples(monkeypatch):
-    def refuse(*arrays):
-        raise _EntryTuplesBuilt
-    monkeypatch.setattr(extension, "_entry_tuples", refuse)
+def _refuse_replay(monkeypatch):
+    def refuse(*inputs):
+        raise _TraceReplayed
+    monkeypatch.setattr(extension, "_replay_steps", refuse)
 
 
 def _assert_steps_built_on_read_equal_eager_steps(r):
@@ -413,23 +421,58 @@ def test_steps_built_on_read_keep_the_dataclass_protocol():
         step.pivot
 
 
+@functools.cache
+def _largest_disjoint_sum_rescan():
+    r = _largest_block_sum(ordinal=False)
+    return [entries for _, _, entries in rescan_linearization(r.grid, r.labels)[1]]
+
+
+@pytest.mark.parametrize("steps", [(0, 0), (0, -1)], ids=["same-step", "two-steps"])
+def test_first_reads_from_two_threads_at_once(steps):
+    """Two threads that read unread steps of one trace together both get the entries."""
+    reference = [_largest_disjoint_sum_rescan()[k] for k in steps]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            trace = linearize(_largest_block_sum(ordinal=False)).trace
+            barrier, got = threading.Barrier(2, timeout=60), [None, None]
+
+            def read(t):
+                barrier.wait()
+                try:
+                    got[t] = trace[steps[t]].entries_raised
+                except AttributeError as e:
+                    got[t] = e
+
+            threads = [threading.Thread(target=read, args=(t,)) for t in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert got == reference
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_reading_only_k_m_and_pivots_builds_no_entry_tuple(monkeypatch, order7):
-    _refuse_entry_tuples(monkeypatch)
+    _refuse_replay(monkeypatch)
     for r in (order7, _block_sum((12,) * 8, ordinal=False), _block_sum((5, 7), ordinal=True)):
         for policy in ("low", "high"):
             result = linearize(r, policy)
             pivots = [(s.a.label, s.b.label, s.step_index) for s in result.trace]
             assert len(pivots) == result.k > 0 and result.m > 0
-    with pytest.raises(_EntryTuplesBuilt):
+    with pytest.raises(_TraceReplayed):
         result.trace[0].entries_raised
 
 
 def test_cli_linearize_without_trace_builds_no_entry_tuple(monkeypatch, capsys):
-    _refuse_entry_tuples(monkeypatch)
+    _refuse_replay(monkeypatch)
     order7 = str(FIXTURES / "order7.csv")
     assert run_command(["linearize", order7]) == 0
     assert run_command(["linearize", order7, "--json", "--policy", "high"]) == 0
-    with pytest.raises(_EntryTuplesBuilt):
+    with pytest.raises(_TraceReplayed):
         run_command(["linearize", order7, "--trace"])
 
 
