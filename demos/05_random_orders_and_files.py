@@ -1,8 +1,8 @@
 """Reproducible random orders, file round-trips, and the CLI surface.
 
 The generator samples a random DAG, closes it transitively, grades the
-support from a finite pool, and lifts the grades to a max-min fixpoint,
-so every draw is a valid fuzzy order by construction.  Seeding goes
+support from a finite pool, and takes the max-min transitive closure of
+the grades, so every draw is a valid fuzzy order by construction.  Seeding goes
 through numpy's PCG64, so results reproduce across platforms.
 """
 

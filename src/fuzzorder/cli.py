@@ -257,7 +257,7 @@ def _read_family_dir(directory: Path):
         paths = [
             inside(p.name, f"{directory}: ")
             for p in sorted(directory.iterdir())
-            if p.suffix in (".csv", ".json") and p.name != "family.json"
+            if p.suffix.lower() in (".csv", ".json") and p.name != "family.json"
         ]
     if not paths:
         raise EmptyFamilyError(f"no family members found in {directory}")

@@ -4,7 +4,8 @@ The checks here are deliberately written with plain Python loops over plain
 lists, sharing no code with the vectorized predicates they cross-check.
 The generator draws reproducible random orders for property suites: a random
 DAG is sampled, its support transitively closed, grades assigned from a
-finite pool, and the grades lifted along the closure to a max-min fixpoint.
+finite pool, and the graded relation replaced by its max-min transitive
+closure.
 
 Randomness comes from numpy's PCG64 bit generator, so a given seed produces
 the same relation on every platform.
@@ -87,9 +88,9 @@ def random_zadeh_order(spec: GeneratorSpec) -> FuzzyRelation:
 
     Construction: sample forward edges of a random permutation with the
     given density, transitively close that crisp support, assign each
-    support entry a grade from the pool, then raise grades by max-min
-    composition (restricted to the support, which is already transitive,
-    so no new positive entries appear).  Diagonal is set to 1 last.
+    support entry a grade from the pool, then take the max-min transitive
+    closure of the grades (Zadeh 1971).  The support is already transitive,
+    so the closure only raises grades.  Diagonal is set to 1 last.
     """
     n = spec.n
     rng = np.random.Generator(np.random.PCG64(spec.seed))
@@ -97,26 +98,14 @@ def random_zadeh_order(spec: GeneratorSpec) -> FuzzyRelation:
     coins = rng.random((n, n))
 
     support = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if coins[i, j] < spec.density:
-                support[perm[i], perm[j]] = True
+    support[perm[:, None], perm] = np.triu(coins < spec.density, 1)
     for k in range(n):  # transitive closure of the crisp support
         support |= np.outer(support[:, k], support[k, :])
 
     grid = np.zeros((n, n))
-    count = int(support.sum())
-    if count:
-        grid[support] = rng.choice(np.array(spec.value_pool), size=count)
-
-    while True:  # max-min lift to fixpoint, support entries only
-        composed = np.max(
-            np.minimum(grid[:, :, None], grid[None, :, :]), axis=1
-        )
-        lifted = np.where(support, np.maximum(grid, composed), grid)
-        if np.array_equal(lifted, grid):
-            break
-        grid = lifted
+    grid[support] = rng.choice(np.array(spec.value_pool), size=int(support.sum()))
+    for k in range(n):  # max-min transitive closure of the grades
+        grid = np.maximum(grid, np.minimum.outer(grid[:, k], grid[k, :]))
 
     np.fill_diagonal(grid, 1.0)
     labels = tuple(f"x{i + 1}" for i in range(n))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 
@@ -42,36 +43,38 @@ def corpus(count: int, max_n: int = 8, seed_base: int = 10_000) -> list[FuzzyRel
     return [random_zadeh_order(s) for s in corpus_specs(count, max_n, seed_base)]
 
 
-def block_sum(blocks: list[FuzzyRelation], ordinal: bool = False) -> FuzzyRelation:
-    """The disjoint (block-diagonal) or ordinal sum of orders, itself an order.
+@functools.cache
+def block_sum(
+    sizes: tuple[int, ...],
+    ordinal: bool = False,
+    densities: tuple[float, ...] = (0.2, 0.45, 0.7),
+    seed: int = 700,
+) -> FuzzyRelation:
+    """The disjoint (block-diagonal) or ordinal sum of generated orders.
 
-    A disjoint sum leaves every pair from different blocks incomparable; an
-    ordinal sum puts every element of an earlier block fully below every
-    element of a later one.  Elements are labelled e1, e2, ...
+    Block k is drawn with ``sizes[k]`` elements, density
+    ``densities[k % len(densities)]`` and seed ``seed + k``.  A disjoint sum
+    leaves every pair from different blocks incomparable; an ordinal sum puts
+    every element of an earlier block fully below every element of a later
+    one.  Either is an order.  Elements are labelled e1, e2, ...
     """
-    n = sum(b.n for b in blocks)
+    n = sum(sizes)
     grid = np.zeros((n, n))
     start = 0
-    for b in blocks:
-        stop = start + b.n
-        grid[start:stop, start:stop] = b.grid
+    for k, size in enumerate(sizes):
+        spec = GeneratorSpec(n=size, density=densities[k % len(densities)], seed=seed + k)
+        stop = start + size
+        grid[start:stop, start:stop] = random_zadeh_order(spec).grid
         if ordinal:
             grid[start:stop, stop:] = 1.0
         start = stop
     return FuzzyRelation(tuple(f"e{i + 1}" for i in range(n)), grid)
 
 
-def block_sums(seed: int = 700) -> list[FuzzyRelation]:
+def block_sums() -> list[FuzzyRelation]:
     """Disjoint and ordinal sums of generated blocks, from n = 12 up to n = 192."""
-    densities = (0.2, 0.45, 0.7)
-    sums = []
-    for sizes in [(5, 7), (12,) * 4, (12,) * 8, (12,) * 16]:
-        blocks = [
-            random_zadeh_order(GeneratorSpec(n=n, density=densities[k % 3], seed=seed + k))
-            for k, n in enumerate(sizes)
-        ]
-        sums += [block_sum(blocks), block_sum(blocks, ordinal=True)]
-    return sums
+    sizes = [(5, 7), (12,) * 4, (12,) * 8, (12,) * 16]
+    return [block_sum(s, ordinal) for s in sizes for ordinal in (False, True)]
 
 
 def rescan_linearization(grid: np.ndarray, labels=None, orient=lambda i, j: (i, j)):

@@ -166,6 +166,18 @@ def test_family_then_verify_roundtrip(tmp_path, capsys):
     assert "intersection matches: yes" in capsys.readouterr().out
 
 
+def test_verify_reads_members_with_upper_case_suffixes(tmp_path, capsys):
+    """Without a manifest, a member's suffix is matched as -o matches it: in any case."""
+    fam_dir = tmp_path / "family"
+    assert run_command(["family", ORDER7, "-o", str(fam_dir)]) == 0
+    (fam_dir / "family.json").unlink()
+    (fam_dir / "member_000.csv").rename(fam_dir / "member_000.CSV")
+    (fam_dir / "member_001.csv").rename(fam_dir / "member_001.Json")
+    capsys.readouterr()
+    assert run_command(["verify", ORDER7, "--family", str(fam_dir), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["family"]["members"] == 12
+
+
 def test_verify_mismatch_exits_one(tmp_path, capsys):
     fam_dir = tmp_path / "small"
     fam_dir.mkdir()

@@ -12,7 +12,6 @@ import pytest
 
 from fuzzorder import (
     FuzzyRelation,
-    GeneratorSpec,
     PivotStep,
     PreconditionError,
     certifying_family,
@@ -23,7 +22,6 @@ from fuzzorder import (
     is_linear,
     linearize,
     pivot_extend,
-    random_zadeh_order,
 )
 
 from fuzzorder import extension
@@ -44,7 +42,7 @@ from conftest import (
     ORDER7_LINEAR_GRID,
     identity_relation,
 )
-from genutil import block_sum, block_sums, corpus, rescan_linearization
+from genutil import block_sum, corpus, rescan_linearization
 
 
 # ---------------------------------------------------------------- pivot
@@ -259,8 +257,13 @@ def _assert_policy_matches_rescan(r, policy, orient):
     result = linearize(r, policy)
     grid, steps = rescan_linearization(r.grid, r.labels, orient)
     assert result.relation.grid.tobytes() == grid.tobytes()
-    assert [(s.a.index, s.b.index, s.entries_raised) for s in result.trace] == steps
-    assert [s.step_index for s in result.trace] == list(range(1, len(steps) + 1))
+    if policy == "low":
+        assert _linear_grid(r.grid).tobytes() == grid.tobytes()
+    eager = [
+        PivotStep(r.element(a), r.element(b), k, entries)
+        for k, (a, b, entries) in enumerate(steps, start=1)
+    ]
+    assert eager == list(result.trace)  # meets steps whose entries nobody has read yet
     assert result.k == len(steps)
     assert result.m == int(((r.grid == 0.0) & (r.grid.T == 0.0)).sum())  # unit diagonal
 
@@ -283,22 +286,13 @@ def test_linearize_matches_rescan_on_corpus():
         _assert_matches_rescan(r)
 
 
-def _block_sum(sizes, ordinal):
-    densities = (0.2, 0.45, 0.7)
-    blocks = [
-        random_zadeh_order(GeneratorSpec(n=n, density=densities[k % 3], seed=500 + k))
-        for k, n in enumerate(sizes)
-    ]
-    return block_sum(blocks, ordinal)
-
-
 BLOCK_SIZES = [(5, 7), (12, 12, 12, 12), (12,) * 8]
 
 
 @pytest.mark.parametrize("ordinal", [False, True])
 @pytest.mark.parametrize("sizes", BLOCK_SIZES)
 def test_linearize_matches_rescan_on_block_sums(sizes, ordinal):
-    _assert_matches_rescan(_block_sum(sizes, ordinal))
+    _assert_matches_rescan(block_sum(sizes, ordinal, seed=500))
 
 
 def test_linearize_matches_rescan_under_random_flips_on_corpus():
@@ -310,26 +304,20 @@ def test_linearize_matches_rescan_under_random_flips_on_corpus():
 @pytest.mark.parametrize("ordinal", [False, True])
 @pytest.mark.parametrize("sizes", BLOCK_SIZES)
 def test_linearize_matches_rescan_under_random_flips_on_block_sums(sizes, ordinal):
-    r = _block_sum(sizes, ordinal)
+    r = block_sum(sizes, ordinal, seed=500)
     for seed in (1, 2):
         _assert_policy_matches_rescan(r, *_random_flips(r, seed))
-
-
-@functools.cache
-def _largest_block_sum(ordinal):
-    # The n = 192 disjoint or ordinal sum of genutil.block_sums()
-    return block_sums()[-1 if ordinal else -2]
 
 
 @pytest.mark.parametrize("ordinal", [False, True])
 def test_linearize_matches_rescan_on_the_largest_block_sums(ordinal):
     """The disjoint sum's trace has thousands of pivots, each replayed on read."""
-    _assert_matches_rescan(_largest_block_sum(ordinal))
+    _assert_matches_rescan(block_sum((12,) * 16, ordinal))
 
 
 def test_runs_batch_the_pivots_of_a_disjoint_sum():
     """One grid update per cursor run: at most n - 1 of them for hundreds of pivots."""
-    r = _block_sum((12,) * 8, ordinal=False)
+    r = block_sum((12,) * 8, seed=500)
     g = np.array(r.grid)
     updates = sum(1 for _ in _runs(g, _incomparable(g).nonzero()))
     assert updates <= r.n - 1
@@ -341,13 +329,6 @@ def test_linear_grid_matches_rescan_on_order7_orienting_grids(order7):
         for a, b in ((i, j), (j, i)):
             pre = _pivot_grid(order7.grid, a, b)
             assert _linear_grid(pre).tobytes() == rescan_linearization(pre)[0].tobytes()
-
-
-@pytest.mark.parametrize("ordinal", [False, True])
-@pytest.mark.parametrize("sizes", BLOCK_SIZES)
-def test_linear_grid_matches_rescan_on_block_sums(sizes, ordinal):
-    r = _block_sum(sizes, ordinal)
-    assert _linear_grid(r.grid).tobytes() == rescan_linearization(r.grid)[0].tobytes()
 
 
 # ------------------------------------------------- trace tuples built on read
@@ -363,33 +344,8 @@ def _refuse_replay(monkeypatch):
     monkeypatch.setattr(extension, "_replay_steps", refuse)
 
 
-def _assert_steps_built_on_read_equal_eager_steps(r):
-    for policy, orient in _policies(r):
-        _, reference = rescan_linearization(r.grid, r.labels, orient)
-        eager = [
-            PivotStep(r.element(a), r.element(b), k, entries)
-            for k, (a, b, entries) in enumerate(reference, start=1)
-        ]
-        # Each comparison meets steps whose entries nobody has read yet.
-        assert [hash(s) for s in linearize(r, policy).trace] == [hash(s) for s in eager]
-        assert [repr(s) for s in linearize(r, policy).trace] == [repr(s) for s in eager]
-        assert list(linearize(r, policy).trace) == eager
-        assert eager == list(linearize(r, policy).trace)
-
-
-@pytest.mark.parametrize("labels, grid", GOLDENS)
-def test_steps_built_on_read_equal_eager_steps_on_goldens(labels, grid):
-    _assert_steps_built_on_read_equal_eager_steps(FuzzyRelation(labels, grid))
-
-
-@pytest.mark.parametrize("ordinal", [False, True])
-@pytest.mark.parametrize("sizes", BLOCK_SIZES)
-def test_steps_built_on_read_equal_eager_steps_on_block_sums(sizes, ordinal):
-    _assert_steps_built_on_read_equal_eager_steps(_block_sum(sizes, ordinal))
-
-
 def test_entries_raised_is_built_once_and_kept():
-    result = linearize(_block_sum((5, 7), ordinal=False))
+    result = linearize(block_sum((5, 7), seed=500))
     for step in result.trace:
         first = step.entries_raised
         assert step.entries_raised == first
@@ -401,13 +357,16 @@ def test_entries_raised_is_built_once_and_kept():
 
 
 def test_steps_built_on_read_keep_the_dataclass_protocol():
-    r = _block_sum((5, 7), ordinal=False)
-    step = linearize(r).trace[0]
-    eager = PivotStep(step.a, step.b, step.step_index, step.entries_raised)
+    r = block_sum((5, 7), seed=500)
+    steps = [PivotStep(s.a, s.b, s.step_index, s.entries_raised) for s in linearize(r).trace]
+    step, eager = linearize(r).trace[0], steps[0]
     names = ["a", "b", "step_index", "entries_raised"]
     assert dataclasses.is_dataclass(step) and PivotStep.__match_args__ == tuple(names)
     assert [f.name for f in dataclasses.fields(step)] == names
-    # Each call below meets a step whose entries nobody has read yet.
+    # Each call below meets steps whose entries nobody has read yet.
+    assert [hash(s) for s in linearize(r).trace] == [hash(s) for s in steps]
+    assert [repr(s) for s in linearize(r).trace] == [repr(s) for s in steps]
+    assert list(linearize(r).trace) == steps
     assert dataclasses.asdict(linearize(r).trace[0]) == dataclasses.asdict(eager)
     assert dataclasses.replace(linearize(r).trace[0], step_index=9) == dataclasses.replace(
         eager, step_index=9
@@ -423,7 +382,7 @@ def test_steps_built_on_read_keep_the_dataclass_protocol():
 
 @functools.cache
 def _largest_disjoint_sum_rescan():
-    r = _largest_block_sum(ordinal=False)
+    r = block_sum((12,) * 16)
     return [entries for _, _, entries in rescan_linearization(r.grid, r.labels)[1]]
 
 
@@ -435,7 +394,7 @@ def test_first_reads_from_two_threads_at_once(steps):
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(3):
-            trace = linearize(_largest_block_sum(ordinal=False)).trace
+            trace = linearize(block_sum((12,) * 16)).trace
             barrier, got = threading.Barrier(2, timeout=60), [None, None]
 
             def read(t):
@@ -458,7 +417,7 @@ def test_first_reads_from_two_threads_at_once(steps):
 
 def test_reading_only_k_m_and_pivots_builds_no_entry_tuple(monkeypatch, order7):
     _refuse_replay(monkeypatch)
-    for r in (order7, _block_sum((12,) * 8, ordinal=False), _block_sum((5, 7), ordinal=True)):
+    for r in (order7, block_sum((12,) * 8, seed=500), block_sum((5, 7), True, seed=500)):
         for policy in ("low", "high"):
             result = linearize(r, policy)
             pivots = [(s.a.label, s.b.label, s.step_index) for s in result.trace]

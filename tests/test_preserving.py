@@ -7,7 +7,6 @@ from fuzzorder import (
     CarrierMismatchError,
     EmptyFamilyError,
     FuzzyRelation,
-    GeneratorSpec,
     PreconditionError,
     brute_check_order,
     certifying_family,
@@ -19,7 +18,6 @@ from fuzzorder import (
     linearize,
     pivot_extend,
     pointwise_inf,
-    random_zadeh_order,
     verify_intersection,
 )
 from fuzzorder import extension as extension_module
@@ -208,6 +206,10 @@ def _assert_matches_reference(r):
     # one member per certificate before merging; a linear r is its own family
     assert family.built == (1 if is_linear(r) else family.certificate_count)
     assert verify_intersection(r, family)
+    if not is_linear(r):  # the first orienting member is r's "low" linearization, the clamp base
+        pair = incomparable_pairs(r)[0]
+        assert family.members[0].relation == linearize(r).relation
+        assert family.members[0].tags[0] == f"orients({pair.first.label},{pair.second.label})"
 
 
 def test_family_matches_reference_on_goldens(order3, order4, order7, order7_linear):
@@ -220,44 +222,21 @@ def test_family_matches_reference_on_corpus():
         _assert_matches_reference(r)
 
 
-def _block_sum(sizes, ordinal):
-    densities = (0.3, 0.5, 0.7)
-    blocks = [
-        random_zadeh_order(GeneratorSpec(n=n, density=densities[k % 3], seed=700 + k))
-        for k, n in enumerate(sizes)
-    ]
-    return block_sum(blocks, ordinal)
-
-
+DENSITIES = (0.3, 0.5, 0.7)
 BLOCK_SIZES = [(7, 7), (12, 8), (12, 12), (10, 10, 10), (12, 12, 12)]
 
 
 @pytest.mark.parametrize("ordinal", [False, True])
 @pytest.mark.parametrize("sizes", BLOCK_SIZES)
 def test_family_matches_reference_on_block_sums(sizes, ordinal):
-    _assert_matches_reference(_block_sum(sizes, ordinal))
+    _assert_matches_reference(block_sum(sizes, ordinal, densities=DENSITIES))
 
 
 def test_family_block_sum_spans_several_slabs():
     """The disjoint 36-element sum above stacks its orienting members in three slabs or more."""
-    r = _block_sum((12, 12, 12), ordinal=False)
+    r = block_sum((12, 12, 12), densities=DENSITIES)
     members = 2 * len(incomparable_pairs(r))
     assert members > 2 * (preserving._SLAB_BYTES // r.grid.nbytes)
-
-
-def _orders_with_an_incomparable_pair(order3, order4, order7):
-    sums = [_block_sum(sizes, ordinal) for sizes in BLOCK_SIZES for ordinal in (False, True)]
-    orders = [order3, order4, order7] + corpus(300, max_n=12) + sums
-    return [r for r in orders if not is_linear(r)]
-
-
-def test_family_first_member_is_the_low_linearization(order3, order4, order7):
-    """The first orienting member is r's own "low" linearization, the clamp base."""
-    for r in _orders_with_an_incomparable_pair(order3, order4, order7):
-        first = certifying_family(r).members[0]
-        pair = incomparable_pairs(r)[0]
-        assert first.relation == linearize(r).relation
-        assert first.tags[0] == f"orients({pair.first.label},{pair.second.label})"
 
 
 def test_family_linearizes_the_order_once(monkeypatch, order3, order4, order7):

@@ -183,3 +183,38 @@ def test_witnesses_recheck_as_violations(r, seed):
 @given(orders(), st.sampled_from(["csv", "json"]))
 def test_roundtrip_property(r, fmt):
     assert parse_matrix(emit_matrix(r, fmt), fmt) == r
+
+
+@st.composite
+def orders_with_regrading(draw):
+    """An order r and a strictly increasing map of its grades in (0, 1), fixing 0 and 1."""
+    r = draw(orders())
+    grades = np.unique(r.grid[(r.grid > 0.0) & (r.grid < 1.0)])
+    inner = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    images = sorted(draw(st.lists(inner, min_size=len(grades), max_size=len(grades), unique=True)))
+    values, mapped = np.array([0.0, *grades, 1.0]), np.array([0.0, *images, 1.0])
+
+    def phi(grid):
+        at = np.searchsorted(values, grid)
+        assert (values[at] == grid).all()  # min and max only: every grade is one of r's
+        return mapped[at]
+
+    return r, phi
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders_with_regrading())
+def test_linearize_and_family_commute_with_regrading(case):
+    """Pivots and clamps use min, max and the zero pattern only, so any strictly
+    increasing regrading fixing 0 and 1 carries r's results to those of φ∘r."""
+    r, phi = case
+    s = FuzzyRelation(r.labels, phi(r.grid))
+    base, regraded = linearize(r), linearize(s)
+    assert [(p.a, p.b) for p in regraded.trace] == [(p.a, p.b) for p in base.trace]
+    assert (regraded.k, regraded.m) == (base.k, base.m)
+    assert regraded.relation.grid.tobytes() == phi(base.relation.grid).tobytes()
+    family, regraded_family = certifying_family(r), certifying_family(s)
+    assert [m.tags for m in regraded_family.members] == [m.tags for m in family.members]
+    assert regraded_family.built == family.built
+    for got, want in zip(regraded_family.members, family.members):
+        assert got.relation.grid.tobytes() == phi(want.relation.grid).tobytes()
