@@ -5,8 +5,9 @@ Each pivot picks an incomparable pair (a, b) and rebuilds the grid as
     r'(x, y) = max(r(x, y), min(r(x, a), r(b, y)))
 
 which forces a fully above b while keeping all three axioms intact.  The
-loop scans pairs row by row, pivots at the first incomparable one, and
-rescans, because a pivot can settle later pairs for free.
+loop makes one pass over the incomparable pairs in row-major order and
+pivots at each pair that is still incomparable when the pass reaches it,
+because a pivot can settle later pairs for free.
 """
 
 from pathlib import Path

@@ -21,12 +21,13 @@ b has r(b, a) = 0.  So the run as a whole is one update
 
     r'(x, y) = max(r(x, y), min(r(x, a), max_t r(b_t, y)))
 
-of the rows x with r(x, a) > 0, and its pivots are the pairs still
-incomparable when reached: b is skipped iff r(a, b) > 0 or r(b, a) > 0 when
-the run starts, or an earlier pivot's bottom b' has r(b', b) > 0.  Every
-run of any length costs one vectorized update.  The trace is not kept
-from these updates: on first read it is replayed from the pivot list, one
-pivot at a time, on a copy of the input grid.
+and its pivots are the pairs still incomparable when reached: b is skipped
+iff r(a, b) > 0 or r(b, a) > 0 when the run starts, or an earlier pivot's
+bottom b' has r(b', b) > 0.  Every run of any length costs one update of
+the rows and columns that :func:`_raise_block` shows can rise.  The trace is
+not kept from these updates: on first read it is replayed from the pivot
+list, one pivot at a time and with the same update, on a copy of the input
+grid.
 """
 
 from __future__ import annotations
@@ -111,8 +112,9 @@ class LinearizationResult:
     m: int
 
 
-def _pivot_grid(grid: np.ndarray, ia: int, ib: int) -> np.ndarray:
-    return np.maximum(grid, np.minimum.outer(grid[:, ia], grid[ib, :]))
+def _pivot_grid(g: np.ndarray, a: int, b: int, out=None) -> np.ndarray:
+    # The pivot formula on the whole of one grid, or on each grid of a stack.
+    return np.maximum(g, np.minimum(g[..., :, a, None], g[..., b, None, :]), out=out)
 
 
 def pivot_extend(r: FuzzyRelation, a: ElementLike, b: ElementLike) -> FuzzyRelation:
@@ -169,15 +171,25 @@ def _runs(g, pairs, flips=None):
             keep = np.ones(len(bottoms), dtype=bool)
             np.logical_not(later, out=keep[1:])
             bottoms, below = bottoms[keep], below[keep]
-        rows = col.nonzero()[0]
-        top = below[0] if len(below) == 1 else np.maximum.reduce(below)
-        # h[x, y] >= min(h[x, a], h[a, y]), so only columns y with
-        # top[y] > h[a, y] can rise.
-        cols = (top > h[a]).nonzero()[0]
-        at = rows[:, None]
-        new = np.minimum.outer(col[rows], top[cols])
-        h[at, cols] = np.maximum(new, h[at, cols], out=new)
+        _raise_block(h, a, below[0] if len(below) == 1 else np.maximum.reduce(below))
         yield flipped, a, bottoms
+
+
+def _raise_block(h, a, top):
+    # h[x, y] = max(h[x, y], min(h[x, a], top[y])) in place on the order grid
+    # h: the pivot of a above b when top = h[b], or a run of such pivots when
+    # top is the max of their bottoms' rows.  Only the rows x with h[x, a] > 0
+    # and the columns y with top[y] > h[a, y] can rise, since elsewhere
+    # min(h[x, a], top[y]) <= min(h[x, a], h[a, y]) <= h[x, y] by max-min
+    # transitivity.  Returns those rows and columns and their block of old
+    # and new grades.
+    rows = h[:, a].nonzero()[0]
+    cols = (top > h[a]).nonzero()[0]
+    at = rows[:, None]
+    old = h[at, cols]
+    new = np.minimum.outer(h[rows, a], top[cols])
+    h[at, cols] = np.maximum(new, old, out=new)
+    return rows, cols, old, new
 
 
 def _linear_grid(grid: np.ndarray) -> np.ndarray:
@@ -188,32 +200,20 @@ def _linear_grid(grid: np.ndarray) -> np.ndarray:
     return g
 
 
-def _entry_tuples(labels, xs, ys, old, new) -> list:
-    # The trace tuples ((x_label, y_label), old, new) of raised entries given
-    # as index arrays x, y into the carrier's labels and grade arrays old, new.
-    names = np.array(labels, dtype=object)
-    return list(zip(zip(names[xs].tolist(), names[ys].tolist()), old.tolist(), new.tolist()))
-
-
 def _replay_steps(r: FuzzyRelation, tops, bottoms) -> list:
     # The entries_raised of each pivot tops[t] above bottoms[t] of a
     # linearization of r, found by applying the pivots in turn to a copy of
-    # r's grid g.  Pivot (a, b) raises (x, y) only if g[x, a] > 0 and
-    # g[b, y] > g[a, y]: g is an order after every pivot, so elsewhere
-    # g[x, y] >= min(g[x, a], g[a, y]) >= min(g[x, a], g[b, y]).
+    # r's grid g.
     g = np.array(r.grid)
     counts, parts = [], []
     for a, b in zip(tops, bottoms):
-        rows = g[:, a].nonzero()[0]
-        cols = (g[b] > g[a]).nonzero()[0]
-        at = rows[:, None]
-        old = g[at, cols]
-        new = np.minimum.outer(g[rows, a], g[b, cols])
+        rows, cols, old, new = _raise_block(g, a, g[b])
         xs, ys = (new > old).nonzero()
         counts.append(len(xs))
         parts.append((rows[xs], cols[ys], old[xs, ys], new[xs, ys]))
-        g[at, cols] = np.maximum(old, new, out=new)
-    entries = _entry_tuples(r.labels, *map(np.concatenate, zip(*parts)))
+    xs, ys, old, new = map(np.concatenate, zip(*parts))
+    names = np.array(r.labels, dtype=object)
+    entries = list(zip(zip(names[xs].tolist(), names[ys].tolist()), old.tolist(), new.tolist()))
     ends = list(accumulate(counts))
     return [tuple(entries[lo:hi]) for lo, hi in zip([0] + ends, ends)]
 
@@ -254,11 +254,12 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
     each run is applied as one grid update, which raises (x, y) to the min
     of r(x, i) and the max of those elements' grades at y wherever that is
     higher (with rows and columns swapped when i goes below).  Grid, trace
-    and k are those of pivoting one pair at a time.  The trace keeps only
-    the pivots: the first time any step's ``entries_raised`` are read, the
-    pivots are replayed one at a time on the input grid to build every
-    step's, so a caller who reads only k, m and the pivots never pays for
-    them.  Steps may be read from several threads at once.  The order
+    and k are those of pivoting one pair at a time.  The update, and the
+    replay below, write only the rows and columns that ``_raise_block``
+    shows can rise.  The trace keeps only the pivots: the first time any
+    step's ``entries_raised`` are read, the pivots are replayed one at a
+    time on the input grid to build every step's, so a caller who reads
+    only k, m and the pivots never pays for them.  Steps may be read from several threads at once.  The order
     precondition reads a verdict that :func:`~fuzzorder.check_order`
     recorded on ``r`` instead of checking again.
 
@@ -288,13 +289,11 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
         pivots = pivots.tolist()
         tops += pivots if flipped else [a] * len(pivots)
         bottoms += [a] * len(pivots) if flipped else pivots
-    trace: tuple[PivotStep, ...] = ()
-    if tops:
-        replay, elems = _Replay(r, tops, bottoms), r.elements
-        trace = tuple(
-            PivotStep._replayed(elems[a], elems[b], k, replay)
-            for k, (a, b) in enumerate(zip(tops, bottoms), start=1)
-        )
+    replay, elems = _Replay(r, tops, bottoms), r.elements
+    trace = tuple(
+        PivotStep._replayed(elems[a], elems[b], k, replay)
+        for k, (a, b) in enumerate(zip(tops, bottoms), start=1)
+    )
     relation = FuzzyRelation._on_carrier_of(r, grid)
     return LinearizationResult(relation, trace, len(tops), 2 * len(pairs[0]))
 

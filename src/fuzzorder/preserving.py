@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extension import _linear_grid
+from .extension import _linear_grid, _pivot_grid
 from .relation import (
     CarrierMismatchError,
     ElementLike,
@@ -163,8 +163,7 @@ def _orienting_grids(grid: np.ndarray, pairs, tops, bottoms):
             live = ((stack[:, i, j] == 0.0) & (stack[:, j, i] == 0.0)).nonzero()[0]
             if len(live):
                 g = stack[live]
-                np.maximum(g, np.minimum(g[:, :, i, None], g[:, None, j, :]), out=g)
-                stack[live] = g
+                stack[live] = _pivot_grid(g, i, j, out=g)
         yield from stack
 
 

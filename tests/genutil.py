@@ -103,6 +103,27 @@ def rescan_linearization(grid: np.ndarray, labels=None, orient=lambda i, j: (i, 
         grid = new
 
 
+@functools.cache
+def low_rescan(r: FuzzyRelation):
+    """``rescan_linearization(r.grid, r.labels)``, the "low" reference, once per relation."""
+    return rescan_linearization(r.grid, r.labels)
+
+
+def tight_regrade(r: FuzzyRelation) -> FuzzyRelation:
+    """r with its distinct grades in (0, 1) mapped, in order, onto consecutive
+    doubles: 0.5, nextafter(0.5, 1), and so on; 0 and 1 stay.
+
+    The map is strictly increasing, so every comparison of grades, min and
+    max that holds on r holds on the copy, whose grades sit one ulp apart.
+    """
+    g = np.array(r.grid)
+    inner = (g > 0.0) & (g < 1.0)
+    grades = np.unique(g[inner])
+    tight = 0.5 + np.arange(len(grades)) * np.spacing(0.5)  # exact: 0.5 + k ulps
+    g[inner] = tight[np.searchsorted(grades, g[inner])]
+    return FuzzyRelation(r.labels, g)
+
+
 def reference_family(r: FuzzyRelation) -> ExtensionFamily:
     """Reference certifying family: build every member on its own, then merge.
 

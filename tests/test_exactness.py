@@ -1,0 +1,252 @@
+"""Exactness: grades one ulp apart, one-ulp damages, and the epsilon mutants they kill.
+
+The package compares grades with no tolerance.  A comparison loosened by an
+epsilon passes on test data whose distinct grades lie far apart, so the
+probes here run on tight-regraded orders (``genutil.tight_regrade``), whose
+grades are consecutive doubles, and on damages one ulp deep.  Each probe
+returns the problems it finds, so the same probe checks the package and
+flags every mutant in ``EXACTNESS_MUTANTS``.
+"""
+
+import functools
+import sys
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import fuzzorder
+from fuzzorder import FuzzyRelation, brute_check_order, certifying_family, linearize
+from fuzzorder import extension, matrixio, preserving, relation
+
+from conftest import (
+    ORDER3_GRID,
+    ORDER3_LABELS,
+    ORDER4_GRID,
+    ORDER4_LABELS,
+    ORDER7_GRID,
+    ORDER7_LABELS,
+    ORDER7_LINEAR_GRID,
+)
+from genutil import corpus, rescan_linearization, tight_regrade
+
+# One-line mutants that each loosen one exact comparison in src/ by an
+# epsilon: (module, exact source text, replacement).  A new exact comparison
+# joins this list with a probe below that flags its loosening.
+EXACTNESS_MUTANTS = [
+    ("relation", "bad = via > row", "bad = via > row + 1e-12"),
+    ("relation", "pos = r.grid > 0.0", "pos = r.grid > 1e-12"),
+    ("relation", "np.flatnonzero(diag != 1.0)", "np.flatnonzero(diag < 1.0 - 1e-12)"),
+    ("relation", "(lo.grid <= hi.grid).all()", "(lo.grid <= hi.grid + 1e-12).all()"),
+    ("preserving", "np.argwhere(inf.grid != r.grid)", "np.argwhere(~np.isclose(inf.grid, r.grid))"),
+    ("extension", "cols = (top > h[a]).nonzero()[0]", "cols = (top > h[a] + 1e-12).nonzero()[0]"),
+    ("extension", "xs, ys = (new > old).nonzero()", "xs, ys = (new > old + 1e-12).nonzero()"),
+    ("matrixio", "bad = ~((grid >= 0.0) & (grid <= 1.0))", "bad = ~((grid >= 0.0) & (grid <= 1.0 + 1e-12))"),
+]
+
+PACKAGE = types.SimpleNamespace(
+    relation=relation, extension=extension, preserving=preserving, matrixio=matrixio
+)
+
+GOLDENS = [
+    FuzzyRelation(labels, grid)
+    for labels, grid in [
+        (ORDER3_LABELS, ORDER3_GRID),
+        (ORDER4_LABELS, ORDER4_GRID),
+        (ORDER7_LABELS, ORDER7_GRID),
+        (ORDER7_LABELS, ORDER7_LINEAR_GRID),
+    ]
+]
+
+
+@functools.cache
+def tight_orders():
+    # The goldens and every tenth corpus order, which span all sizes and
+    # densities, tight-regraded.
+    return [tight_regrade(r) for r in GOLDENS + corpus(300, max_n=12)[::10]]
+
+
+BELOW_ONE = np.nextafter(1.0, 0.0)
+LEAST_SUBNORMAL = 5e-324
+
+
+def _damaged(r, i, j, value):
+    g = np.array(r.grid)
+    g[i, j] = value
+    return FuzzyRelation(r.labels, g)
+
+
+def _transitivity_witnesses(r, triples):
+    # The witnesses that check_order lists for the violated triples, row-major.
+    g, names = r.grid, r.labels
+    return tuple(
+        ((names[x], names[y], names[z]), float(g[x, z]), float(min(g[x, y], g[y, z])))
+        for x, y, z in sorted(triples)
+    )
+
+
+def _axiom_problems(lib, d, expected):
+    # Where lib.relation.check_order's verdict on the damaged order d differs
+    # from the brute oracle's, or its witnesses from ``expected``.
+    report = lib.relation.check_order(d)
+    got = (
+        report.reflexivity_witnesses, report.antisymmetry_witnesses, report.transitivity_witnesses
+    )
+    problems = []
+    if report.is_order != brute_check_order(d):
+        problems.append(f"check_order says is_order={report.is_order}, the oracle disagrees")
+    if got != expected:
+        problems.append(f"witnesses {got} != {expected}")
+    return problems
+
+
+def damage_problems(lib, r, seed):
+    """What lib gets wrong on one-ulp damages of the tight order r."""
+    rng = np.random.default_rng(seed)
+    g, names, n = r.grid, r.labels, r.n
+
+    def pick(candidates):
+        return candidates[int(rng.integers(len(candidates)))] if candidates else None
+
+    problems = []
+    # A diagonal entry one ulp below 1 breaks reflexivity alone.
+    i = int(rng.integers(n))
+    d = _damaged(r, i, i, BELOW_ONE)
+    problems += _axiom_problems(lib, d, (((names[i], BELOW_ONE),), (), ()))
+
+    # The least subnormal on the reverse of a positive pair (i, j) breaks
+    # antisymmetry, and transitivity through (j, i) wherever a 0 now lies
+    # below it: (j, i, z) with r(i, z) > 0 = r(j, z), and (x, j, i) with
+    # r(x, j) > 0 = r(x, i).
+    pair = pick([(i, j) for i, j in np.argwhere(g > 0.0).tolist() if i != j])
+    if pair is not None:
+        i, j = pair
+        d = _damaged(r, j, i, LEAST_SUBNORMAL)
+        lo, hi = sorted(pair)
+        anti = (((names[lo], names[hi]), float(d.grid[lo, hi]), float(d.grid[hi, lo])),)
+        triples = [(j, i, z) for z in range(n) if g[i, z] > 0.0 and d.grid[j, z] == 0.0]
+        triples += [(x, j, i) for x in range(n) if g[x, j] > 0.0 and d.grid[x, i] == 0.0]
+        problems += _axiom_problems(lib, d, ((), anti, _transitivity_witnesses(d, triples)))
+
+    # An entry r(x, z) that some min(r(x, y), r(y, z)) attains, one ulp lower,
+    # breaks transitivity at exactly those y.
+    def attained(x, z):
+        return [y for y in range(n) if y not in (x, z) and min(g[x, y], g[y, z]) == g[x, z] > 0.0]
+
+    entry = pick([(x, z) for x in range(n) for z in range(n) if x != z and attained(x, z)])
+    if entry is not None:
+        x, z = entry
+        d = _damaged(r, x, z, np.nextafter(g[x, z], 0.0))
+        triples = [(x, y, z) for y in attained(x, z)]
+        problems += _axiom_problems(lib, d, ((), (), _transitivity_witnesses(d, triples)))
+
+    # A family member one ulp below r where it equals r breaks the infimum
+    # there, and only there.
+    members = [m.relation.grid for m in certifying_family(r).members]
+    k = int(rng.integers(len(members)))
+    x, y = pick(np.argwhere((members[k] == g) & (g > 0.0)).tolist())
+    lowered = np.nextafter(g[x, y], 0.0)
+    family = [FuzzyRelation(names, m) for m in members]
+    family[k] = _damaged(family[k], x, y, lowered)
+    verdict = lib.preserving.verify_intersection(r, family)
+    want = (((names[x], names[y]), float(lowered), float(g[x, y])),)
+    if verdict.passed or verdict.witnesses != want:
+        problems.append(f"verify_intersection gave {verdict} on a member lowered at {(x, y)}")
+
+    # A linear extension one ulp below r somewhere does not extend r.
+    hi = linearize(r).relation
+    if not lib.relation.extends(r, hi):
+        problems.append("extends rejected a linearization")
+    if lib.relation.extends(r, _damaged(hi, x, y, lowered)):
+        problems.append(f"extends accepted an extension one ulp below r at {(x, y)}")
+    return problems
+
+
+# The grade one ulp above 1, at (row 2, column 3) of the CSV document and
+# at (row 1, column 2) of the JSON one; the least subnormal, which is a grade.
+ABOVE_ONE_CSV = ",a,b\na,1,1.0000000000000002\nb,0,1\n"
+ABOVE_ONE_JSON = '{"elements": ["a", "b"], "matrix": [[1, 1.0000000000000002], [0, 1]]}'
+SUBNORMAL_CSV = ",a,b\na,1,5e-324\nb,0,1\n"
+SUBNORMAL_JSON = '{"elements": ["a", "b"], "matrix": [[1, 5e-324], [0, 1]]}'
+
+
+def parse_problems(lib):
+    """What lib's parser gets wrong on grades one ulp outside and inside [0, 1]."""
+    problems = []
+    for text, where in ((ABOVE_ONE_CSV, (2, 3)), (ABOVE_ONE_JSON, (1, 2))):
+        try:
+            lib.matrixio.parse_matrix(text)
+            problems.append(f"accepted {text!r}")
+        except lib.matrixio.ParseError as e:
+            message = f"value 1.0000000000000002 outside [0, 1] (row {where[0]}, column {where[1]})"
+            if str(e) != message or (e.row, e.col) != where:
+                problems.append(f"{text!r} raised {e!r}")
+    for text, fmt in ((SUBNORMAL_CSV, "csv"), (SUBNORMAL_JSON, "json")):
+        r = lib.matrixio.parse_matrix(text)
+        back = lib.matrixio.parse_matrix(lib.matrixio.emit_matrix(r, fmt), fmt)
+        if r.grid[0, 1] != LEAST_SUBNORMAL or back.grid.tobytes() != r.grid.tobytes():
+            problems.append(f"{text!r} did not parse and round-trip exactly")
+    return problems
+
+
+def rescan_problems(lib, orders):
+    """The tight orders whose "low" and "high" linearizations by lib differ
+    from the rescan reference in grid, pivots or raised entries."""
+    problems = []
+    for r in orders:
+        for policy, orient in (("low", lambda i, j: (i, j)), ("high", lambda i, j: (j, i))):
+            result = lib.extension.linearize(r, policy)
+            grid, steps = rescan_linearization(r.grid, r.labels, orient)
+            got = [(s.a.index, s.b.index, s.entries_raised) for s in result.trace]
+            if result.relation.grid.tobytes() != grid.tobytes() or got != steps:
+                problems.append(f"{policy!r} linearization of {r.labels} differs from the rescan")
+    return problems
+
+
+def probe(lib):
+    """The problems that the tight-regrade and one-ulp probes find in lib, lazily."""
+    yield from parse_problems(lib)
+    for k, r in enumerate(tight_orders()):
+        yield from rescan_problems(lib, [r])
+        yield from damage_problems(lib, r, seed=k)
+
+
+def test_one_ulp_damages_meet_the_oracle_and_exact_witnesses():
+    for k, r in enumerate(tight_orders()):
+        assert damage_problems(PACKAGE, r, seed=k) == []
+
+
+def test_grades_one_ulp_outside_and_inside_the_range():
+    assert parse_problems(PACKAGE) == []
+
+
+def test_tight_orders_linearize_as_the_rescan_does():
+    """Each probe finds nothing in the package, so what it finds in a mutant
+    is the mutation's doing."""
+    assert rescan_problems(PACKAGE, tight_orders()) == []
+
+
+def _mutant(monkeypatch, name, text, replacement):
+    # The module fuzzorder.<name> with one source text replaced, compiled into
+    # a throwaway module whose relative imports bind to the real package.  It
+    # sits in sys.modules for the test, where dataclasses look it up.
+    path = Path(getattr(fuzzorder, name).__file__)
+    source = path.read_text(encoding="utf-8")
+    assert source.count(text) == 1, f"{text!r} must occur once in {path.name}"
+    module = types.ModuleType(f"fuzzorder._mutant_{name}")
+    module.__package__ = "fuzzorder"
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(source.replace(text, replacement), str(path), "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize(
+    "name, text, replacement",
+    EXACTNESS_MUTANTS,
+    ids=[f"{name}-{k}" for k, (name, _, _) in enumerate(EXACTNESS_MUTANTS)],
+)
+def test_probes_flag_every_exactness_mutant(monkeypatch, name, text, replacement):
+    lib = types.SimpleNamespace(**vars(PACKAGE))
+    setattr(lib, name, _mutant(monkeypatch, name, text, replacement))
+    assert next(probe(lib), None) is not None

@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import functools
 import pickle
 import sys
 import threading
@@ -42,7 +41,7 @@ from conftest import (
     ORDER7_LINEAR_GRID,
     identity_relation,
 )
-from genutil import block_sum, corpus, rescan_linearization
+from genutil import block_sum, corpus, low_rescan, rescan_linearization, tight_regrade
 
 
 # ---------------------------------------------------------------- pivot
@@ -255,7 +254,7 @@ def _random_flips(r, seed):
 
 def _assert_policy_matches_rescan(r, policy, orient):
     result = linearize(r, policy)
-    grid, steps = rescan_linearization(r.grid, r.labels, orient)
+    grid, steps = low_rescan(r) if policy == "low" else rescan_linearization(r.grid, r.labels, orient)
     assert result.relation.grid.tobytes() == grid.tobytes()
     if policy == "low":
         assert _linear_grid(r.grid).tobytes() == grid.tobytes()
@@ -293,6 +292,23 @@ BLOCK_SIZES = [(5, 7), (12, 12, 12, 12), (12,) * 8]
 @pytest.mark.parametrize("sizes", BLOCK_SIZES)
 def test_linearize_matches_rescan_on_block_sums(sizes, ordinal):
     _assert_matches_rescan(block_sum(sizes, ordinal, seed=500))
+
+
+@pytest.mark.parametrize("labels, grid", GOLDENS)
+def test_linearize_matches_rescan_on_tight_goldens(labels, grid):
+    """Grades one ulp apart: a comparison loosened by any epsilon breaks the match."""
+    _assert_matches_rescan(tight_regrade(FuzzyRelation(labels, grid)))
+
+
+def test_linearize_matches_rescan_on_tight_corpus():
+    for r in corpus(300, max_n=12):
+        _assert_matches_rescan(tight_regrade(r))
+
+
+@pytest.mark.parametrize("ordinal", [False, True])
+@pytest.mark.parametrize("sizes", BLOCK_SIZES)
+def test_linearize_matches_rescan_on_tight_block_sums(sizes, ordinal):
+    _assert_matches_rescan(tight_regrade(block_sum(sizes, ordinal, seed=500)))
 
 
 def test_linearize_matches_rescan_under_random_flips_on_corpus():
@@ -380,16 +396,10 @@ def test_steps_built_on_read_keep_the_dataclass_protocol():
         step.pivot
 
 
-@functools.cache
-def _largest_disjoint_sum_rescan():
-    r = block_sum((12,) * 16)
-    return [entries for _, _, entries in rescan_linearization(r.grid, r.labels)[1]]
-
-
 @pytest.mark.parametrize("steps", [(0, 0), (0, -1)], ids=["same-step", "two-steps"])
 def test_first_reads_from_two_threads_at_once(steps):
     """Two threads that read unread steps of one trace together both get the entries."""
-    reference = [_largest_disjoint_sum_rescan()[k] for k in steps]
+    reference = [low_rescan(block_sum((12,) * 16))[1][k][2] for k in steps]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:

@@ -24,7 +24,7 @@ from fuzzorder import extension as extension_module
 from fuzzorder import preserving
 from fuzzorder import relation as relation_module
 
-from genutil import block_sum, corpus, drop_preserving_members, reference_family
+from genutil import block_sum, corpus, drop_preserving_members, reference_family, tight_regrade
 
 # Frozen from an entrywise evaluation of the clamp formula against the two
 # 7-element golden matrices (beta = 0.55, base = the pinned linearization).
@@ -220,6 +220,17 @@ def test_family_matches_reference_on_goldens(order3, order4, order7, order7_line
 def test_family_matches_reference_on_corpus():
     for r in corpus(300, max_n=12):
         _assert_matches_reference(r)
+
+
+def test_family_matches_reference_on_tight_goldens(order3, order4, order7, order7_linear):
+    """Grades one ulp apart: a comparison loosened by any epsilon breaks the match."""
+    for r in (order3, order4, order7, order7_linear):
+        _assert_matches_reference(tight_regrade(r))
+
+
+def test_family_matches_reference_on_tight_corpus():
+    for r in corpus(100, max_n=12):
+        _assert_matches_reference(tight_regrade(r))
 
 
 DENSITIES = (0.3, 0.5, 0.7)
