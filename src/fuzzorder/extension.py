@@ -259,9 +259,10 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
     shows can rise.  The trace keeps only the pivots: the first time any
     step's ``entries_raised`` are read, the pivots are replayed one at a
     time on the input grid to build every step's, so a caller who reads
-    only k, m and the pivots never pays for them.  Steps may be read from several threads at once.  The order
-    precondition reads a verdict that :func:`~fuzzorder.check_order`
-    recorded on ``r`` instead of checking again.
+    only k, m and the pivots never pays for them.  Steps may be read from
+    several threads at once.  The order precondition reads a verdict that
+    :func:`~fuzzorder.check_order` recorded on ``r`` instead of checking
+    again.
 
     Equal inputs produce identical traces and outputs.
     """

@@ -38,6 +38,7 @@ from .relation import (
     Pair,
     PreconditionError,
     Verdict,
+    _SLAB_BYTES,
     _incomparable,
     _passes_order,
     pointwise_inf,
@@ -140,11 +141,6 @@ def _clamp(grid: np.ndarray, base: np.ndarray, i: int, j: int) -> np.ndarray:
     if base[i, j] == beta:
         return base
     return np.where(grid > beta, base, np.minimum(beta, base))
-
-
-# The byte budget of one slab of the certifying family's stacked member
-# grids, so that the family of any order with n <= 22 fits in one slab.
-_SLAB_BYTES = 2 << 20
 
 
 def _orienting_grids(grid: np.ndarray, pairs, tops, bottoms):

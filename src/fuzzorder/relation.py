@@ -4,7 +4,10 @@ A fuzzy relation assigns each ordered pair of carrier elements a membership
 grade in [0, 1].  The algebra here uses only comparison, minimum and maximum,
 so every grade that appears in any result is bit-identical to some input
 grade, 0, or 1.  Equality checks are therefore exact; there are no epsilon
-tolerances anywhere in this package.
+tolerances anywhere in this package.  The one step that is not min/max is
+the transitivity check's product of the 0/1 support (which pairs x, z have a
+path x -> y -> z positive at both steps); it yields only a boolean, never a
+grade.
 """
 
 from __future__ import annotations
@@ -275,17 +278,36 @@ def _antisymmetry_witnesses(r: FuzzyRelation):
         yield (r.labels[i], r.labels[j]), float(r.grid[i, j]), float(r.grid[j, i])
 
 
+# The byte budget of one slab of whole-grid work: the transitivity check's
+# rows of pairs, and the certifying family's stacked member grids, so that
+# the family of any order with n <= 22 fits in one slab.
+_SLAB_BYTES = 2 << 20
+
+
 def _transitivity_witnesses(r: FuzzyRelation):
-    # Only the y with r(x, y) > 0 can bound r(x, z).  They stay in ascending
-    # order, so the witnesses keep their row-major order.
+    # Flag the rows with a witness in two passes (see is_transitive), then
+    # list only theirs.  The support product counts paths, at most n of them,
+    # so it is exact in float32.
     g = r.grid
-    for x, row in enumerate(g):
+    support = g > 0.0
+    p = support.astype(np.float32)
+    flagged = ((p @ p > 0.0) & ~support).any(axis=1)
+    xs, zs = (support & (g < 1.0)).nonzero()
+    gT = np.ascontiguousarray(g.T)
+    step = max(1, _SLAB_BYTES // g[0].nbytes)
+    for lo in range(0, len(xs), step):
+        x, z = xs[lo:lo + step], zs[lo:lo + step]
+        bound = np.minimum(g[x], gT[z]).max(axis=1)
+        flagged[x[bound > g[x, z]]] = True
+    # Only the y with r(x, y) > 0 can bound r(x, z).  Rows and y stay in
+    # ascending order, so the witnesses keep their row-major order.
+    for x in flagged.nonzero()[0]:
+        row = g[x]
         ys = row.nonzero()[0]
         via = np.minimum(row[ys, None], g[ys])  # [k, z] = min(r(x, y_k), r(y_k, z))
         bad = via > row
-        if bad.any():  # argwhere on every row would dominate on valid orders
-            for k, z in np.argwhere(bad):
-                yield (r.labels[x], r.labels[ys[k]], r.labels[z]), float(row[z]), float(via[k, z])
+        for k, z in np.argwhere(bad):
+            yield (r.labels[x], r.labels[ys[k]], r.labels[z]), float(row[z]), float(via[k, z])
 
 
 _AXIOMS = (_reflexivity_witnesses, _antisymmetry_witnesses, _transitivity_witnesses)
@@ -319,6 +341,13 @@ def is_transitive(r: FuzzyRelation) -> Verdict:
     The supremum of the definition is a maximum here because carriers are
     finite by construction.  Witnesses are ``((x, y, z), r(x,z), bound)``
     triples in row-major order, where bound = min(r(x,y), r(y,z)) > r(x,z).
+
+    Two whole-grid passes first flag the rows x with a witness.  Entries
+    r(x,z) = 1 are skipped, as nothing exceeds them.  An entry 0 has a
+    witness iff some path x -> y -> z is positive at both steps, which one
+    product of the 0/1 support finds.  Fractional entries take the max-min
+    bound itself, in slabs of pairs.  Only the flagged rows then list their
+    witnesses, so a valid order builds no per-row work.
     """
     return _verdict(_transitivity_witnesses(r))
 

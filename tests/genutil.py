@@ -124,6 +124,25 @@ def tight_regrade(r: FuzzyRelation) -> FuzzyRelation:
     return FuzzyRelation(r.labels, g)
 
 
+def alpha_cut_is_order(r: FuzzyRelation) -> bool:
+    """The order verdict by the resolution identity: r is an order exactly when
+    its diagonal is 1, no pair of distinct elements is positive both ways, and
+    every cut C = {r >= alpha}, alpha over r's distinct positive grades, is
+    crisp-transitive (C.C <= C, a bool matrix product).
+
+    It shares no code with the max-min predicates of ``fuzzorder.relation``.
+    """
+    g = r.grid
+    both = (g > 0.0) & (g.T > 0.0)
+    if (np.diagonal(g) != 1.0).any() or np.triu(both, k=1).any():
+        return False
+    for alpha in np.unique(g[g > 0.0]):
+        cut = g >= alpha
+        if (cut @ cut > cut).any():
+            return False
+    return True
+
+
 def reference_family(r: FuzzyRelation) -> ExtensionFamily:
     """Reference certifying family: build every member on its own, then merge.
 

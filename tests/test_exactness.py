@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import fuzzorder
-from fuzzorder import FuzzyRelation, brute_check_order, certifying_family, linearize
+from fuzzorder import FuzzyRelation, brute_check_order, certifying_family, check_order, linearize
 from fuzzorder import extension, matrixio, preserving, relation
 
 from conftest import (
@@ -29,7 +29,7 @@ from conftest import (
     ORDER7_LABELS,
     ORDER7_LINEAR_GRID,
 )
-from genutil import corpus, rescan_linearization, tight_regrade
+from genutil import alpha_cut_is_order, block_sums, corpus, rescan_linearization, tight_regrade
 
 # One-line mutants that each loosen one exact comparison in src/ by an
 # epsilon: (module, exact source text, replacement).  A new exact comparison
@@ -43,6 +43,8 @@ EXACTNESS_MUTANTS = [
     ("extension", "cols = (top > h[a]).nonzero()[0]", "cols = (top > h[a] + 1e-12).nonzero()[0]"),
     ("extension", "xs, ys = (new > old).nonzero()", "xs, ys = (new > old + 1e-12).nonzero()"),
     ("matrixio", "bad = ~((grid >= 0.0) & (grid <= 1.0))", "bad = ~((grid >= 0.0) & (grid <= 1.0 + 1e-12))"),
+    ("relation", "bound > g[x, z]", "bound > g[x, z] + 1e-12"),
+    ("relation", "support = g > 0.0", "support = g > 1e-12"),
 ]
 
 PACKAGE = types.SimpleNamespace(
@@ -225,6 +227,35 @@ def test_tight_orders_linearize_as_the_rescan_does():
     """Each probe finds nothing in the package, so what it finds in a mutant
     is the mutation's doing."""
     assert rescan_problems(PACKAGE, tight_orders()) == []
+
+
+def _one_ulp_damages(r, rng):
+    # r with a zero entry raised to the least subnormal, a fractional entry
+    # lowered by one ulp, or a diagonal entry lowered to one ulp below 1.
+    g = r.grid
+    zeros, fractional = np.argwhere(g == 0.0), np.argwhere((g > 0.0) & (g < 1.0))
+    i, j = zeros[rng.integers(len(zeros))]
+    yield _damaged(r, i, j, LEAST_SUBNORMAL)
+    i, j = fractional[rng.integers(len(fractional))]
+    yield _damaged(r, i, j, np.nextafter(g[i, j], 0.0))
+    i = rng.integers(r.n)
+    yield _damaged(r, i, i, BELOW_ONE)
+
+
+@pytest.mark.parametrize("k", range(len(block_sums())))
+def test_alpha_cut_oracle_agrees_with_check_order(k):
+    """The resolution identity (every alpha-cut crisp-transitive) gives the
+    order verdict of check_order and of the verdict-only check, on block sums
+    up to n = 192, their tight regrades and one-ulp damages of both."""
+    rng = np.random.default_rng(k)
+    verdicts = []
+    for r in (block_sums()[k], tight_regrade(block_sums()[k])):
+        for d in [r, *_one_ulp_damages(r, rng)]:
+            expected = alpha_cut_is_order(d)
+            assert relation._passes_order(FuzzyRelation(d.labels, d.grid)) == expected
+            assert check_order(d).is_order == expected
+            verdicts.append(expected)
+    assert verdicts[0] and not all(verdicts)
 
 
 def _mutant(monkeypatch, name, text, replacement):

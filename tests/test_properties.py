@@ -5,6 +5,8 @@ is established separately against the brute-force oracle, so every property
 here starts from a known-valid fuzzy order.
 """
 
+import dataclasses
+
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
@@ -31,7 +33,7 @@ from fuzzorder import (
     verify_intersection,
 )
 
-from genutil import corrupt
+from genutil import corrupt, tight_regrade
 
 DENSITIES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
@@ -185,10 +187,8 @@ def test_roundtrip_property(r, fmt):
     assert parse_matrix(emit_matrix(r, fmt), fmt) == r
 
 
-@st.composite
-def orders_with_regrading(draw):
-    """An order r and a strictly increasing map of its grades in (0, 1), fixing 0 and 1."""
-    r = draw(orders())
+def _regrading(draw, r):
+    # A strictly increasing map of r's grades in (0, 1), fixing 0 and 1.
     grades = np.unique(r.grid[(r.grid > 0.0) & (r.grid < 1.0)])
     inner = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
     images = sorted(draw(st.lists(inner, min_size=len(grades), max_size=len(grades), unique=True)))
@@ -199,7 +199,25 @@ def orders_with_regrading(draw):
         assert (values[at] == grid).all()  # min and max only: every grade is one of r's
         return mapped[at]
 
-    return r, phi
+    return phi
+
+
+@st.composite
+def orders_with_regrading(draw):
+    """An order r and a strictly increasing map of its grades in (0, 1), fixing 0 and 1."""
+    r = draw(orders())
+    return r, _regrading(draw, r)
+
+
+@st.composite
+def relations_with_regrading(draw):
+    """An order or a damaged one, tight-regraded or not, with a regrading as above."""
+    r = draw(orders())
+    if draw(st.booleans()):
+        r = corrupt(r, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    if draw(st.booleans()):
+        r = tight_regrade(r)
+    return r, _regrading(draw, r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,3 +236,27 @@ def test_linearize_and_family_commute_with_regrading(case):
     assert regraded_family.built == family.built
     for got, want in zip(regraded_family.members, family.members):
         assert got.relation.grid.tobytes() == phi(want.relation.grid).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(relations_with_regrading())
+def test_check_order_commutes_with_regrading(case):
+    """The axioms compare grades with 0, 1 and each other only, so the report
+    on φ∘r is the report on r with every witness grade mapped through φ."""
+    r, phi = case
+    report = check_order(r)
+
+    def grade(v):
+        return float(phi(np.float64(v)))
+
+    mapped = dataclasses.replace(
+        report,
+        reflexivity_witnesses=tuple((x, grade(v)) for x, v in report.reflexivity_witnesses),
+        antisymmetry_witnesses=tuple(
+            (pair, grade(a), grade(b)) for pair, a, b in report.antisymmetry_witnesses
+        ),
+        transitivity_witnesses=tuple(
+            (triple, grade(v), grade(bound)) for triple, v, bound in report.transitivity_witnesses
+        ),
+    )
+    assert check_order(FuzzyRelation(r.labels, phi(r.grid))) == mapped

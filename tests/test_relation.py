@@ -25,6 +25,7 @@ from fuzzorder import (
     pivot_extend,
     pointwise_inf,
 )
+from fuzzorder import relation
 from fuzzorder.relation import _passes_order
 
 from conftest import identity_relation
@@ -173,6 +174,22 @@ def test_transitive_fails_with_witness():
 
 def test_transitive_identity():
     assert is_transitive(identity_relation(3))
+
+
+def test_transitivity_witnesses_do_not_depend_on_the_slab_size(monkeypatch):
+    """The fractional entries' pass gives the same witnesses one pair per slab
+    as in whole slabs, on orders with one fractional entry halved."""
+    rng = np.random.default_rng(23)
+    relations = []
+    for r in corpus(100, max_n=12) + block_sums()[2:4]:
+        fractional = np.argwhere((r.grid > 0.0) & (r.grid < 1.0))
+        if len(fractional):
+            i, j = fractional[rng.integers(len(fractional))]
+            relations.append(r.with_value(i, j, r.grid[i, j] / 2))
+    whole = [is_transitive(r) for r in relations]
+    assert any(v > 0.0 for verdict in whole for _, v, _ in verdict.witnesses)
+    monkeypatch.setattr(relation, "_SLAB_BYTES", 1)
+    assert [is_transitive(r) for r in relations] == whole
 
 
 def test_check_order_all_pass(order7):
