@@ -1,7 +1,7 @@
 """Fuzzy orders on finite sets: axioms, linear extensions, and certificates.
 
 The package is organized around one immutable data model
-(:class:`FuzzyRelation`) and four groups of operations:
+(:class:`FuzzyRelation`) and five groups of operations:
 
 * :mod:`fuzzorder.relation` -- the axioms of a fuzzy order, linearity,
   the extension ordering, incomparable pairs, and pointwise infima.

@@ -145,13 +145,13 @@ def _runs(g, pairs, flips=None):
     # ``flips`` marks the pairs whose pivot puts j above i (None: none does).
     # Consecutive pairs (i, j) with the same i and flip form a run, which puts
     # a = i above each of its bottoms j in turn in h = g, or in h = g.T when
-    # flipped.  Yields (flipped, a, bottoms) per run that pivots, after
-    # applying it.
+    # flipped.  Yields, per run that pivots and after applying it, its pivots
+    # as (tops, bottoms): lists of g's indices, each top put above its bottom.
     first, second = pairs
-    key = first if flips is None else 2 * first + flips
+    flips = np.zeros(len(first), dtype=bool) if flips is None else flips
+    key = 2 * first + flips
     starts = [0, *((key[1:] != key[:-1]).nonzero()[0] + 1).tolist()] if len(key) else []
-    heads = first[starts].tolist()
-    turns = [False] * len(starts) if flips is None else flips[starts].tolist()
+    heads, turns = first[starts].tolist(), flips[starts].tolist()
     for s, e, a, flipped in zip(starts, starts[1:] + [len(key)], heads, turns):
         h = g.T if flipped else g
         col = h[:, a]
@@ -172,7 +172,8 @@ def _runs(g, pairs, flips=None):
             np.logical_not(later, out=keep[1:])
             bottoms, below = bottoms[keep], below[keep]
         _raise_block(h, a, below[0] if len(below) == 1 else np.maximum.reduce(below))
-        yield flipped, a, bottoms
+        js, a_s = bottoms.tolist(), [a] * len(bottoms)
+        yield (js, a_s) if flipped else (a_s, js)
 
 
 def _raise_block(h, a, top):
@@ -266,11 +267,14 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
 
     Equal inputs produce identical traces and outputs.
     """
+    # above[x, y]: x goes above y when the pair {x, y} is pivoted.
+    above = np.zeros((r.n, r.n), dtype=bool)
     if isinstance(policy, str):
         if policy not in ("low", "high"):
             raise ValueError(f"unknown pivot policy {policy!r}")
+        if policy == "high":
+            above = np.tri(r.n, k=-1, dtype=bool)
     else:
-        above = np.zeros((r.n, r.n), dtype=bool)
         for x, y in policy:
             above[r.index_of(x), r.index_of(y)] = True
 
@@ -279,17 +283,10 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
 
     grid = np.array(r.grid)
     pairs = _incomparable(grid).nonzero()
-    if not isinstance(policy, str):
-        flips = above[pairs[1], pairs[0]]
-    elif policy == "high":
-        flips = np.ones(len(pairs[0]), dtype=bool)
-    else:
-        flips = None
     tops, bottoms = [], []
-    for flipped, a, pivots in _runs(grid, pairs, flips):
-        pivots = pivots.tolist()
-        tops += pivots if flipped else [a] * len(pivots)
-        bottoms += [a] * len(pivots) if flipped else pivots
+    for run_tops, run_bottoms in _runs(grid, pairs, above[pairs[1], pairs[0]]):
+        tops += run_tops
+        bottoms += run_bottoms
     replay, elems = _Replay(r, tops, bottoms), r.elements
     trace = tuple(
         PivotStep._replayed(elems[a], elems[b], k, replay)

@@ -143,26 +143,6 @@ def _clamp(grid: np.ndarray, base: np.ndarray, i: int, j: int) -> np.ndarray:
     return np.where(grid > beta, base, np.minimum(beta, base))
 
 
-def _orienting_grids(grid: np.ndarray, pairs, tops, bottoms):
-    # The linearized grid of each orienting member k, putting tops[k] above
-    # bottoms[k], with ``pairs`` = _incomparable(grid).nonzero() as cursor.
-    # Each grid is a view into one slab buffer that the next slab overwrites,
-    # so the caller copies what it keeps before asking for more.
-    cursor = list(zip(pairs[0].tolist(), pairs[1].tolist()))
-    buffer = np.empty((min(len(tops), max(1, _SLAB_BYTES // grid.nbytes)),) + grid.shape)
-    for lo in range(0, len(tops), len(buffer)):
-        a, b = tops[lo:lo + len(buffer)], bottoms[lo:lo + len(buffer)]
-        # stack[k] = max(r, min(r[:, a_k], r[b_k, :])), the pivoted grid of member k
-        stack = np.minimum(grid.T[a][:, :, None], grid[b][:, None, :], out=buffer[:len(a)])
-        np.maximum(stack, grid, out=stack)
-        for i, j in cursor:
-            live = ((stack[:, i, j] == 0.0) & (stack[:, j, i] == 0.0)).nonzero()[0]
-            if len(live):
-                g = stack[live]
-                stack[live] = _pivot_grid(g, i, j, out=g)
-        yield from stack
-
-
 def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
     """Construct a finite family of linear extensions whose inf equals r.
 
@@ -202,8 +182,23 @@ def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
     def merge(grid, tag):
         merged.setdefault(FuzzyRelation._on_carrier_of(r, grid), []).append(tag)
 
-    for k, grid in enumerate(_orienting_grids(r.grid, pairs, tops, bottoms)):
-        merge(grid, f"orients({labels[tops[k]]},{labels[bottoms[k]]})")
+    # The orienting members, one slab at a time: stack[k] starts as member k's
+    # pivot max(r, min(r[:, a_k], r[b_k, :])); the cursor then pivots each pair
+    # in the members where both its grades are 0, that is where they are equal.
+    cursor = list(zip(pairs[0].tolist(), pairs[1].tolist()))
+    slab = max(1, _SLAB_BYTES // r.grid.nbytes)
+    for lo in range(0, len(tops), slab):
+        a, b = tops[lo:lo + slab], bottoms[lo:lo + slab]
+        stack = np.minimum(r.grid.T[a][:, :, None], r.grid[b][:, None, :])
+        np.maximum(stack, r.grid, out=stack)
+        for i, j in cursor:
+            live = (stack[:, i, j] == stack[:, j, i]).nonzero()[0]
+            if len(live):
+                g = stack[live]
+                stack[live] = _pivot_grid(g, i, j, out=g)
+        for k, (top, bottom) in enumerate(zip(a, b)):
+            merge(stack[k], f"orients({labels[top]},{labels[bottom]})")
+        del stack  # merge copied what it keeps; free the slab before seeding the next
     # The first member is r's "low" linearization.  A clamp that is that base
     # joins its tags directly; any other clamp differs from it at (i, j).
     base, base_tags = next(iter(merged.items()))

@@ -109,19 +109,30 @@ def low_rescan(r: FuzzyRelation):
     return rescan_linearization(r.grid, r.labels)
 
 
-def tight_regrade(r: FuzzyRelation) -> FuzzyRelation:
+def tight_regrade(r: FuzzyRelation, least: float | None = None) -> FuzzyRelation:
     """r with its distinct grades in (0, 1) mapped, in order, onto consecutive
-    doubles: 0.5, nextafter(0.5, 1), and so on; 0 and 1 stay.
+    doubles: 0.5, nextafter(0.5, 1), and so on; 0 and 1 stay.  With ``least``
+    given, r's least grade in (0, 1) goes to ``least`` instead and the others
+    onto 0.5, nextafter(0.5, 1), and so on.
 
-    The map is strictly increasing, so every comparison of grades, min and
-    max that holds on r holds on the copy, whose grades sit one ulp apart.
+    The map is strictly increasing (for 0 < least < 0.5), so every comparison
+    of grades, min and max that holds on r holds on the copy, whose grades sit
+    one ulp apart.
     """
     g = np.array(r.grid)
     inner = (g > 0.0) & (g < 1.0)
     grades = np.unique(g[inner])
     tight = 0.5 + np.arange(len(grades)) * np.spacing(0.5)  # exact: 0.5 + k ulps
+    if least is not None:
+        tight = np.concatenate(([least], tight[:-1]))
     g[inner] = tight[np.searchsorted(grades, g[inner])]
     return FuzzyRelation(r.labels, g)
+
+
+def subnormal_regrade(r: FuzzyRelation) -> FuzzyRelation:
+    """``tight_regrade`` with r's least grade in (0, 1) mapped to 5e-324, the
+    least subnormal: the one positive grade that an epsilon cannot tell from 0."""
+    return tight_regrade(r, least=5e-324)
 
 
 def alpha_cut_is_order(r: FuzzyRelation) -> bool:

@@ -394,6 +394,14 @@ def test_unknown_command_exits_two():
     assert run_command(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("text", [" \n", '""\n'])
+def test_header_without_labels_exits_two(tmp_path, capsys, text):
+    matrix = tmp_path / "nolabels.csv"
+    matrix.write_text(text, encoding="utf-8")
+    assert run_command(["check", str(matrix)]) == 2
+    assert "no element labels in header (row 1, column 2)" in capsys.readouterr().err
+
+
 def test_missing_file_exits_two():
     assert run_command(["check", "does-not-exist.csv"]) == 2
 

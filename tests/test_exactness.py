@@ -3,9 +3,11 @@
 The package compares grades with no tolerance.  A comparison loosened by an
 epsilon passes on test data whose distinct grades lie far apart, so the
 probes here run on tight-regraded orders (``genutil.tight_regrade``), whose
-grades are consecutive doubles, and on damages one ulp deep.  Each probe
-returns the problems it finds, so the same probe checks the package and
-flags every mutant in ``EXACTNESS_MUTANTS``.
+grades are consecutive doubles, on subnormal-regraded ones
+(``genutil.subnormal_regrade``), whose least positive grade is the least
+subnormal, and on damages one ulp deep.  Each probe returns the problems it
+finds, so the same probe checks the package and flags every mutant in
+``EXACTNESS_MUTANTS``.
 """
 
 import functools
@@ -29,7 +31,16 @@ from conftest import (
     ORDER7_LABELS,
     ORDER7_LINEAR_GRID,
 )
-from genutil import alpha_cut_is_order, block_sums, corpus, rescan_linearization, tight_regrade
+from genutil import (
+    alpha_cut_is_order,
+    block_sums,
+    corpus,
+    corrupt,
+    reference_family,
+    rescan_linearization,
+    subnormal_regrade,
+    tight_regrade,
+)
 
 # One-line mutants that each loosen one exact comparison in src/ by an
 # epsilon: (module, exact source text, replacement).  A new exact comparison
@@ -45,6 +56,16 @@ EXACTNESS_MUTANTS = [
     ("matrixio", "bad = ~((grid >= 0.0) & (grid <= 1.0))", "bad = ~((grid >= 0.0) & (grid <= 1.0 + 1e-12))"),
     ("relation", "bound > g[x, z]", "bound > g[x, z] + 1e-12"),
     ("relation", "support = g > 0.0", "support = g > 1e-12"),
+    (
+        "extension",
+        "h[a, bottoms] == col[bottoms]",
+        "np.isclose(h[a, bottoms], col[bottoms], rtol=0.0, atol=1e-12)",
+    ),
+    (
+        "preserving",
+        "(stack[:, i, j] == stack[:, j, i])",
+        "np.isclose(stack[:, i, j], stack[:, j, i], rtol=0.0, atol=1e-12)",
+    ),
 ]
 
 PACKAGE = types.SimpleNamespace(
@@ -63,10 +84,10 @@ GOLDENS = [
 
 
 @functools.cache
-def tight_orders():
+def tight_orders(regrade=tight_regrade):
     # The goldens and every tenth corpus order, which span all sizes and
-    # densities, tight-regraded.
-    return [tight_regrade(r) for r in GOLDENS + corpus(300, max_n=12)[::10]]
+    # densities, tight-regraded (or regraded by ``regrade``).
+    return [regrade(r) for r in GOLDENS + corpus(300, max_n=12)[::10]]
 
 
 BELOW_ONE = np.nextafter(1.0, 0.0)
@@ -206,12 +227,27 @@ def rescan_problems(lib, orders):
     return problems
 
 
+def subnormal_problems(lib, orders):
+    """The subnormal-regraded orders whose linearizations by lib differ from
+    the rescan, or whose certifying family by lib differs from the reference.
+
+    A pair test that takes two grades within an epsilon for equal finds the
+    least subnormal and 0 incomparable, and pivots a pair that is not."""
+    problems = rescan_problems(lib, orders)
+    for r in orders:
+        got, want = lib.preserving.certifying_family(r), reference_family(r)
+        if [(m.relation, m.tags) for m in got] != [(m.relation, m.tags) for m in want]:
+            problems.append(f"certifying family of {r.labels} differs from the reference")
+    return problems
+
+
 def probe(lib):
-    """The problems that the tight-regrade and one-ulp probes find in lib, lazily."""
+    """The problems that the regrade and one-ulp probes find in lib, lazily."""
     yield from parse_problems(lib)
-    for k, r in enumerate(tight_orders()):
+    for k, (r, s) in enumerate(zip(tight_orders(), tight_orders(subnormal_regrade))):
         yield from rescan_problems(lib, [r])
         yield from damage_problems(lib, r, seed=k)
+        yield from subnormal_problems(lib, [s])
 
 
 def test_one_ulp_damages_meet_the_oracle_and_exact_witnesses():
@@ -227,6 +263,25 @@ def test_tight_orders_linearize_as_the_rescan_does():
     """Each probe finds nothing in the package, so what it finds in a mutant
     is the mutation's doing."""
     assert rescan_problems(PACKAGE, tight_orders()) == []
+
+
+def test_subnormal_orders_linearize_and_certify_as_the_references_do():
+    assert subnormal_problems(PACKAGE, tight_orders(subnormal_regrade)) == []
+
+
+def test_tight_regrades_meet_the_brute_oracle():
+    """Criterion 9's kinds of matrices, tight-regraded: orders, one and two
+    damages of them, and random relations, whose grades then sit one ulp apart."""
+    rng = np.random.default_rng(99)
+    matrices = []
+    for r in corpus(250, max_n=8, seed_base=50_000):
+        damaged = corrupt(r, rng)
+        n = int(rng.integers(1, 9))
+        noise = FuzzyRelation(tuple(f"x{i + 1}" for i in range(n)), rng.random((n, n)))
+        matrices += [r, damaged, corrupt(damaged, rng), noise]
+    verdicts = [brute_check_order(m) for m in map(tight_regrade, matrices)]
+    assert [check_order(m).is_order for m in map(tight_regrade, matrices)] == verdicts
+    assert any(verdicts) and not all(verdicts)
 
 
 def _one_ulp_damages(r, rng):

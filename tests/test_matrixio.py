@@ -17,7 +17,12 @@ from fuzzorder import (
 from fuzzorder import matrixio
 from fuzzorder import relation as relation_module
 
-from genutil import block_sums, corpus, reference_emit_matrix
+from genutil import (
+    block_sums,
+    corpus,
+    reference_emit_matrix,
+    tight_regrade,
+)
 from conftest import (
     FIXTURES,
     ORDER3_GRID,
@@ -288,6 +293,8 @@ def test_parse_csv_label_error_positioned_at_its_header_cell(text, position, rea
 @pytest.mark.parametrize("text, where", [
     ("\n,a\na,1\n", r"empty header row \(row 1, column 1\)"),
     (",a\na,\r1\n", r"malformed CSV: .* \(row 2\)"),
+    (" \n", r"no element labels in header \(row 1, column 2\)"),
+    ('""\n', r"no element labels in header \(row 1, column 2\)"),
 ])
 def test_parse_csv_structure_errors_positioned(text, where):
     with pytest.raises(ParseError, match=where):
@@ -379,6 +386,15 @@ def test_roundtrip_generated(fmt):
     for seed in range(60):
         r = random_zadeh_order(GeneratorSpec(n=1 + seed % 8, density=0.5, seed=seed))
         assert parse_matrix(emit_matrix(r, fmt), fmt) == r
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_roundtrip_tight_regrades(fmt, order3, order4, order7, order7_linear):
+    """Grades one ulp apart come back bit for bit."""
+    for r in [order3, order4, order7, order7_linear, *corpus(300, max_n=12)]:
+        tight = tight_regrade(r)
+        back = parse_matrix(emit_matrix(tight, fmt), fmt)
+        assert back == tight and back.grid.tobytes() == tight.grid.tobytes()
 
 
 def test_double_roundtrip_is_stable(order7):

@@ -250,6 +250,22 @@ def test_family_block_sum_spans_several_slabs():
     assert members > 2 * (preserving._SLAB_BYTES // r.grid.nbytes)
 
 
+def test_family_does_not_depend_on_the_slab_size(
+    monkeypatch, order3, order4, order7, order7_linear
+):
+    """One member per slab gives the same members, tags, order and ``built``
+    as whole slabs."""
+
+    def shape(family):
+        members = [(m.relation.grid.tobytes(), m.tags) for m in family.members]
+        return members, family.built
+
+    orders = [order3, order4, order7, order7_linear, *corpus(100, max_n=12)]
+    whole = [shape(certifying_family(r)) for r in orders]
+    monkeypatch.setattr(preserving, "_SLAB_BYTES", 1)
+    assert [shape(certifying_family(r)) for r in orders] == whole
+
+
 def test_family_linearizes_the_order_once(monkeypatch, order3, order4, order7):
     """No separate base linearization: one incomparability mask per family."""
     linear_grid, incomparable = preserving._linear_grid, preserving._incomparable

@@ -238,6 +238,41 @@ def test_linearize_and_family_commute_with_regrading(case):
         assert got.relation.grid.tobytes() == phi(want.relation.grid).tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(orders_with_regrading(), st.data())
+def test_pivot_clamp_and_certificate_commute_with_regrading(case, data):
+    """pivot_extend and clamp_extend commute with φ, φ carries r's family to a
+    certificate of φ∘r, and it carries the witnesses of a broken family."""
+    r, phi = case
+    s = FuzzyRelation(r.labels, phi(r.grid))
+
+    def grade(v):
+        return float(phi(np.float64(v)))
+
+    legal = np.argwhere(r.grid.T == 0.0).tolist()  # r(b, a) = 0, so a != b
+    if legal:
+        a, b = data.draw(st.sampled_from(legal))
+        assert pivot_extend(s, a, b).grid.tobytes() == phi(pivot_extend(r, a, b).grid).tobytes()
+    positive = np.argwhere((r.grid > 0.0) & ~np.eye(r.n, dtype=bool)).tolist()
+    if positive:
+        a, b = data.draw(st.sampled_from(positive))
+        got, want = clamp_extend(s, a, b), clamp_extend(r, a, b)
+        assert got.relation.grid.tobytes() == phi(want.relation.grid).tobytes()
+        assert got.base.grid.tobytes() == phi(want.base.grid).tobytes()
+        assert got.beta == grade(want.beta)
+    grids = [np.array(m.relation.grid) for m in certifying_family(r).members]
+    assert verify_intersection(s, [FuzzyRelation(r.labels, phi(g)) for g in grids])
+    # One member set to 0 where it equals a positive grade of r breaks the
+    # infimum there; φ∘r sees the same witnesses, with their grades mapped.
+    k = data.draw(st.integers(0, len(grids) - 1))
+    x, y = data.draw(st.sampled_from(np.argwhere((grids[k] == r.grid) & (r.grid > 0.0)).tolist()))
+    grids[k][x, y] = 0.0
+    broken = verify_intersection(r, [FuzzyRelation(r.labels, g) for g in grids])
+    assert not broken.passed
+    regraded = verify_intersection(s, [FuzzyRelation(r.labels, phi(g)) for g in grids])
+    assert regraded.witnesses == tuple((pair, grade(v), grade(w)) for pair, v, w in broken.witnesses)
+
+
 @settings(max_examples=100, deadline=None)
 @given(relations_with_regrading())
 def test_check_order_commutes_with_regrading(case):

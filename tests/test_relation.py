@@ -105,6 +105,15 @@ def test_equality_is_bit_exact(order3):
     assert FuzzyRelation(("x", "y", "z"), order3.grid) != order3
 
 
+def test_comparison_with_a_non_relation_is_left_to_the_other_side(order3):
+    assert order3.__eq__(order3.grid) is NotImplemented
+    assert order3 != order3.tolists() and order3 != "order3"
+
+
+def test_repr_names_the_labels_and_size(order3):
+    assert repr(order3) == "FuzzyRelation(labels=('a', 'b', 'c'), n=3)"
+
+
 def test_element_lookup(order7):
     assert order7.index_of("x3") == 2
     assert order7.element(0).label == "x1"
