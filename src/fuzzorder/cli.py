@@ -3,7 +3,8 @@
 Exit code contract: 0 means success (the checked property holds), 1 means a
 semantic failure (axiom violations found, intersection mismatch, or an
 operation precondition that does not hold), 2 means a usage or input error
-(unknown command, missing file, malformed document, bad flag values).
+(unknown command, missing file, malformed document, bad flag values) or an
+output error (stdout closed before the output was written).
 
 :func:`run_command` is the one place that reads the input matrix and writes
 the output matrix; each handler only computes and fills the one report, and
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -341,7 +343,17 @@ def run_command(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (as ``| head`` does): an output
+        # error.  Pointing stdout at the null device lets the flush at exit
+        # pass instead of reporting the same error again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

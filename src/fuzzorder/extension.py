@@ -24,10 +24,17 @@ b has r(b, a) = 0.  So the run as a whole is one update
 and its pivots are the pairs still incomparable when reached: b is skipped
 iff r(a, b) > 0 or r(b, a) > 0 when the run starts, or an earlier pivot's
 bottom b' has r(b', b) > 0.  Every run of any length costs one update of
-the rows and columns that :func:`_raise_block` shows can rise.  The trace is
-not kept from these updates: on first read it is replayed from the pivot
-list, one pivot at a time and with the same update, on a copy of the input
-grid.
+the rows and columns that :func:`_raise_block` shows can rise: the columns y
+with max_t r(b_t, y) > r(a, y), and the rows x with r(x, a) > min_t r(x, b_t).
+A row x with r(x, a) <= r(x, b_t) for every t cannot rise, since then for
+every y, by max-min transitivity,
+
+    r(x, y) >= min(r(x, b_t), r(b_t, y)) >= min(r(x, a), r(b_t, y))
+
+for each t.  The trace is not kept from these updates: ``linearize`` keeps
+the pivots as two index lists and builds the trace's steps on its first
+read, and the first read of any step's entries replays the pivots, one at a
+time and with the same update, on a copy of the input grid.
 """
 
 from __future__ import annotations
@@ -111,6 +118,30 @@ class LinearizationResult:
     k: int
     m: int
 
+    @classmethod
+    def _traced_on_read(cls, relation, k, m, r, tops, bottoms) -> "LinearizationResult":
+        # A result whose trace, the pivots tops[t] above bottoms[t] of a
+        # linearization of r, is built on first read.
+        result = object.__new__(cls)
+        fields = {"relation": relation, "k": k, "m": m, "_pivots": (r, tops, bottoms)}
+        object.__setattr__(result, "__dict__", fields)
+        return result
+
+    def __getattr__(self, name):
+        # Reached only for an attribute not yet set: the trace of a result
+        # made by _traced_on_read.  Threads that read at once may each build
+        # one; setdefault publishes the first to all of them, and it is
+        # stored before the pivots are dropped.
+        fields = self.__dict__
+        if name == "trace":
+            pivots = fields.get("_pivots")
+            if pivots is not None:
+                fields.setdefault(name, _trace(*pivots))
+                fields.pop("_pivots", None)
+            if name in fields:
+                return fields[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
 
 def _pivot_grid(g: np.ndarray, a: int, b: int, out=None) -> np.ndarray:
     # The pivot formula on the whole of one grid, or on each grid of a stack.
@@ -171,20 +202,26 @@ def _runs(g, pairs, flips=None):
             keep = np.ones(len(bottoms), dtype=bool)
             np.logical_not(later, out=keep[1:])
             bottoms, below = bottoms[keep], below[keep]
-        _raise_block(h, a, below[0] if len(below) == 1 else np.maximum.reduce(below))
+        if len(bottoms) == 1:
+            top, floor = below[0], h[:, bottoms[0]]
+        else:
+            top, floor = np.maximum.reduce(below), h[:, bottoms].min(axis=1)
+        _raise_block(h, a, top, floor)
         js, a_s = bottoms.tolist(), [a] * len(bottoms)
         yield (js, a_s) if flipped else (a_s, js)
 
 
-def _raise_block(h, a, top):
+def _raise_block(h, a, top, floor):
     # h[x, y] = max(h[x, y], min(h[x, a], top[y])) in place on the order grid
-    # h: the pivot of a above b when top = h[b], or a run of such pivots when
-    # top is the max of their bottoms' rows.  Only the rows x with h[x, a] > 0
-    # and the columns y with top[y] > h[a, y] can rise, since elsewhere
-    # min(h[x, a], top[y]) <= min(h[x, a], h[a, y]) <= h[x, y] by max-min
-    # transitivity.  Returns those rows and columns and their block of old
-    # and new grades.
-    rows = h[:, a].nonzero()[0]
+    # h: the pivot of a above b when top = h[b] and floor = h[:, b], or a run
+    # of such pivots when top is the max of their bottoms' rows and floor the
+    # min of their bottoms' columns.  Only the rows x with h[x, a] > floor[x]
+    # and the columns y with top[y] > h[a, y] can rise.  Elsewhere, by
+    # max-min transitivity, either min(h[x, a], top[y]) <= min(h[x, a],
+    # h[a, y]) <= h[x, y], or h[x, a] <= h[x, b] for every bottom b, so that
+    # min(h[x, a], h[b, y]) <= min(h[x, b], h[b, y]) <= h[x, y] for each b.
+    # Returns those rows and columns and their block of old and new grades.
+    rows = (h[:, a] > floor).nonzero()[0]
     cols = (top > h[a]).nonzero()[0]
     at = rows[:, None]
     old = h[at, cols]
@@ -208,7 +245,7 @@ def _replay_steps(r: FuzzyRelation, tops, bottoms) -> list:
     g = np.array(r.grid)
     counts, parts = [], []
     for a, b in zip(tops, bottoms):
-        rows, cols, old, new = _raise_block(g, a, g[b])
+        rows, cols, old, new = _raise_block(g, a, g[b], g[:, b])
         xs, ys = (new > old).nonzero()
         counts.append(len(xs))
         parts.append((rows[xs], cols[ys], old[xs, ys], new[xs, ys]))
@@ -217,6 +254,16 @@ def _replay_steps(r: FuzzyRelation, tops, bottoms) -> list:
     entries = list(zip(zip(names[xs].tolist(), names[ys].tolist()), old.tolist(), new.tolist()))
     ends = list(accumulate(counts))
     return [tuple(entries[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+
+
+def _trace(r: FuzzyRelation, tops, bottoms) -> tuple:
+    # The steps of the pivots tops[t] above bottoms[t] of a linearization of
+    # r, each step's entries replayed on first read.
+    replay, elems = _Replay(r, tops, bottoms), r.elements
+    return tuple(
+        PivotStep._replayed(elems[a], elems[b], k, replay)
+        for k, (a, b) in enumerate(zip(tops, bottoms), start=1)
+    )
 
 
 class _Replay:
@@ -257,10 +304,12 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
     higher (with rows and columns swapped when i goes below).  Grid, trace
     and k are those of pivoting one pair at a time.  The update, and the
     replay below, write only the rows and columns that ``_raise_block``
-    shows can rise.  The trace keeps only the pivots: the first time any
-    step's ``entries_raised`` are read, the pivots are replayed one at a
-    time on the input grid to build every step's, so a caller who reads
-    only k, m and the pivots never pays for them.  Steps may be read from
+    shows can rise.  The result keeps only the pivots: its ``trace`` steps
+    are built on the first read of ``trace``, so a caller who reads only
+    the relation, k and m builds no step; and the first time any step's
+    ``entries_raised`` are read, the pivots are replayed one at a time on
+    the input grid to build every step's, so a caller who reads only the
+    pivots never pays for them.  The trace and its steps may be read from
     several threads at once.  The order precondition reads a verdict that
     :func:`~fuzzorder.check_order` recorded on ``r`` instead of checking
     again.
@@ -287,13 +336,10 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
     for run_tops, run_bottoms in _runs(grid, pairs, above[pairs[1], pairs[0]]):
         tops += run_tops
         bottoms += run_bottoms
-    replay, elems = _Replay(r, tops, bottoms), r.elements
-    trace = tuple(
-        PivotStep._replayed(elems[a], elems[b], k, replay)
-        for k, (a, b) in enumerate(zip(tops, bottoms), start=1)
-    )
     relation = FuzzyRelation._on_carrier_of(r, grid)
-    return LinearizationResult(relation, trace, len(tops), 2 * len(pairs[0]))
+    return LinearizationResult._traced_on_read(
+        relation, len(tops), 2 * len(pairs[0]), r, tops, bottoms
+    )
 
 
 def count_incomparable_entries(r: FuzzyRelation) -> int:

@@ -412,17 +412,36 @@ def test_malformed_file_exits_two(tmp_path):
     assert run_command(["check", str(bad)]) == 2
 
 
-def test_module_runs_as_a_script(corrupted_file):
+def _run_module(args, **kwargs):
+    # ``python -m fuzzorder.cli *args`` in a new process, on this package.
     src = str(Path(fuzzorder.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run(
-        [sys.executable, "-m", "fuzzorder.cli", "check", corrupted_file],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "fuzzorder.cli", *args], text=True, env=env, timeout=60, **kwargs
     )
+
+
+def test_module_runs_as_a_script(corrupted_file):
+    done = _run_module(["check", corrupted_file], capture_output=True)
     assert done.returncode == 1
     assert done.stdout.startswith("Zadeh fuzzy order: no; linear: ")
     assert "antisymmetry violated at {a,b}" in done.stdout
+
+
+@pytest.mark.parametrize("args", [["family", ORDER7, "--json"], ["linearize", ORDER7]])
+def test_closed_stdout_exits_two_without_a_traceback(args):
+    """A reader that closes the pipe early, as ``| head`` does: every write
+    to stdout fails, in the command's report or in the flush at exit."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _run_module(args, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    assert done.stderr.startswith("error: ")
 
 
 def test_run_command_builds_one_parser_per_process(monkeypatch):

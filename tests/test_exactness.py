@@ -66,6 +66,11 @@ EXACTNESS_MUTANTS = [
         "(stack[:, i, j] == stack[:, j, i])",
         "np.isclose(stack[:, i, j], stack[:, j, i], rtol=0.0, atol=1e-12)",
     ),
+    (
+        "extension",
+        "rows = (h[:, a] > floor).nonzero()[0]",
+        "rows = (h[:, a] > floor + 1e-12).nonzero()[0]",
+    ),
 ]
 
 PACKAGE = types.SimpleNamespace(
