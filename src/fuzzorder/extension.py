@@ -31,10 +31,9 @@ every y, by max-min transitivity,
 
     r(x, y) >= min(r(x, b_t), r(b_t, y)) >= min(r(x, a), r(b_t, y))
 
-for each t.  The trace is not kept from these updates: ``linearize`` keeps
-the pivots as two index lists and builds the trace's steps on its first
-read, and the first read of any step's entries replays the pivots, one at a
-time and with the same update, on a copy of the input grid.
+for each t.  The trace is not kept from these updates: on first read it is
+replayed from the pivot list, one pivot at a time and with the same update,
+on a copy of the input grid.
 """
 
 from __future__ import annotations
@@ -117,30 +116,6 @@ class LinearizationResult:
     trace: tuple[PivotStep, ...]
     k: int
     m: int
-
-    @classmethod
-    def _traced_on_read(cls, relation, k, m, r, tops, bottoms) -> "LinearizationResult":
-        # A result whose trace, the pivots tops[t] above bottoms[t] of a
-        # linearization of r, is built on first read.
-        result = object.__new__(cls)
-        fields = {"relation": relation, "k": k, "m": m, "_pivots": (r, tops, bottoms)}
-        object.__setattr__(result, "__dict__", fields)
-        return result
-
-    def __getattr__(self, name):
-        # Reached only for an attribute not yet set: the trace of a result
-        # made by _traced_on_read.  Threads that read at once may each build
-        # one; setdefault publishes the first to all of them, and it is
-        # stored before the pivots are dropped.
-        fields = self.__dict__
-        if name == "trace":
-            pivots = fields.get("_pivots")
-            if pivots is not None:
-                fields.setdefault(name, _trace(*pivots))
-                fields.pop("_pivots", None)
-            if name in fields:
-                return fields[name]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
 def _pivot_grid(g: np.ndarray, a: int, b: int, out=None) -> np.ndarray:
@@ -256,16 +231,6 @@ def _replay_steps(r: FuzzyRelation, tops, bottoms) -> list:
     return [tuple(entries[lo:hi]) for lo, hi in zip([0] + ends, ends)]
 
 
-def _trace(r: FuzzyRelation, tops, bottoms) -> tuple:
-    # The steps of the pivots tops[t] above bottoms[t] of a linearization of
-    # r, each step's entries replayed on first read.
-    replay, elems = _Replay(r, tops, bottoms), r.elements
-    return tuple(
-        PivotStep._replayed(elems[a], elems[b], k, replay)
-        for k, (a, b) in enumerate(zip(tops, bottoms), start=1)
-    )
-
-
 class _Replay:
     # The pivots of one linearization, shared by its steps.  The first read
     # of any step's entries replays every step's, since a caller who reads
@@ -304,12 +269,10 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
     higher (with rows and columns swapped when i goes below).  Grid, trace
     and k are those of pivoting one pair at a time.  The update, and the
     replay below, write only the rows and columns that ``_raise_block``
-    shows can rise.  The result keeps only the pivots: its ``trace`` steps
-    are built on the first read of ``trace``, so a caller who reads only
-    the relation, k and m builds no step; and the first time any step's
-    ``entries_raised`` are read, the pivots are replayed one at a time on
-    the input grid to build every step's, so a caller who reads only the
-    pivots never pays for them.  The trace and its steps may be read from
+    shows can rise.  The trace keeps only the pivots: the first time any
+    step's ``entries_raised`` are read, the pivots are replayed one at a
+    time on the input grid to build every step's, so a caller who reads
+    only k, m and the pivots never pays for them.  Steps may be read from
     several threads at once.  The order precondition reads a verdict that
     :func:`~fuzzorder.check_order` recorded on ``r`` instead of checking
     again.
@@ -336,10 +299,13 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
     for run_tops, run_bottoms in _runs(grid, pairs, above[pairs[1], pairs[0]]):
         tops += run_tops
         bottoms += run_bottoms
-    relation = FuzzyRelation._on_carrier_of(r, grid)
-    return LinearizationResult._traced_on_read(
-        relation, len(tops), 2 * len(pairs[0]), r, tops, bottoms
+    replay, elems = _Replay(r, tops, bottoms), r.elements
+    trace = tuple(
+        PivotStep._replayed(elems[a], elems[b], k, replay)
+        for k, (a, b) in enumerate(zip(tops, bottoms), start=1)
     )
+    relation = FuzzyRelation._on_carrier_of(r, grid)
+    return LinearizationResult(relation, trace, len(tops), 2 * len(pairs[0]))
 
 
 def count_incomparable_entries(r: FuzzyRelation) -> int:
