@@ -13,15 +13,24 @@ pointwise infimum reproduces the original order: two oppositely oriented
 extensions per incomparable pair, plus one clamp per positive off-diagonal
 entry.  ``verify_intersection`` checks the reconstruction bit-exactly.
 
+The family is built on grade ranks.  Each grade of r is replaced by its rank
+among r's distinct grades, an unsigned integer of one, two or four bytes.
+This map is strictly increasing, and every step of the construction is a
+min, a max or a comparison of grades, so the steps commute with it (Zadeh's
+alpha-cut argument): building on ranks and mapping each rank back to its
+grade gives the family built on grades, bit for bit.
+
 The orienting members are linearized together, as a members x n x n stack of
-grids.  One cursor walks r's incomparable pairs once, in row-major order, and
-at each pair pivots exactly the members for which that pair is still
-incomparable.  A member's incomparable pairs are a subset of r's, so every
-member meets its pivots in the order a linearization of it alone would.  The
-stack advances in consecutive slabs of members no larger than a fixed byte
-budget, so its memory does not grow with the number of members.  The first
-member is r's own "low" linearization and the base of every clamp, so r is
-linearized once.  Equal members are merged, in order of first occurrence.
+rank grids.  One cursor walks r's incomparable pairs once, in row-major
+order, and at each pair pivots exactly the members for which that pair is
+still incomparable.  A member's incomparable pairs are a subset of r's, so
+every member meets its pivots in the order a linearization of it alone
+would.  The stack advances in consecutive slabs of members no larger than a
+fixed byte budget, so its memory does not grow with the number of members.
+The first member is r's own "low" linearization and the base of every
+clamp, so r is linearized once.  Equal members are merged on their rank
+grids, in order of first occurrence, and only the merged members are mapped
+back to grades and become relations.
 """
 
 from __future__ import annotations
@@ -152,15 +161,18 @@ def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
     clamp member preserving that grade.  A linear r certifies itself and
     yields the singleton family {r}.
 
-    All orienting members are linearized at once: their pivoted grids form a
-    members x n x n stack, and one cursor over r's incomparable pairs, in
-    row-major order, pivots at each pair exactly the members for which the
-    pair is still incomparable, so every member ends as the "low"
-    linearization of its pivoted grid would.  The stack advances in slabs of
-    at most ``_SLAB_BYTES`` of grids.  The first orienting member is r's own
+    The members are built on r's grade ranks (see the module docstring), so
+    the stack holds one, two or four bytes per entry.  All orienting members
+    are linearized at once: their pivoted rank grids form a members x n x n
+    stack, and one cursor over r's incomparable pairs, in row-major order,
+    pivots at each pair exactly the members for which the pair is still
+    incomparable, so every member ends as the "low" linearization of its
+    pivoted grid would.  The stack advances in slabs of at most
+    ``_SLAB_BYTES`` of rank grids.  The first orienting member is r's own
     "low" linearization and is the base of every clamp member.  Equal
-    members are merged, in order of first occurrence; ``built`` on the
-    result counts them before the merge.
+    members are merged on their rank grids, in order of first occurrence;
+    ``built`` on the result counts them before the merge.  Each merged
+    member is then mapped back to r's grades and becomes one relation.
     """
     if not _passes_order(r):
         raise PreconditionError("not-an-order", "certifying family requires a valid fuzzy order")
@@ -174,23 +186,29 @@ def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
         tags = tuple(f"preserves({labels[i]},{labels[j]})" for i, j in positives)
         return ExtensionFamily((FamilyMember(r, tags),), built=1)
 
+    # Rank r once (see the module docstring); levels[rank] gives each grade
+    # back bit for bit.
+    levels, ranks = np.unique(r.grid, return_inverse=True)
+    grid = ranks.reshape(r.grid.shape).astype(np.min_scalar_type(len(levels) - 1))
+
     # Member order: per incomparable pair (i, j), i above j, then j above i.
     tops = np.column_stack(pairs).ravel()
     bottoms = np.column_stack(pairs[::-1]).ravel()
-    merged: dict[FuzzyRelation, list[str]] = {}
+    merged: dict[bytes, list[str]] = {}  # rank grid bytes -> tags
 
-    def merge(grid, tag):
-        merged.setdefault(FuzzyRelation._on_carrier_of(r, grid), []).append(tag)
+    def merge(g, tag):
+        merged.setdefault(g.tobytes(), []).append(tag)
 
     # The orienting members, one slab at a time: stack[k] starts as member k's
     # pivot max(r, min(r[:, a_k], r[b_k, :])); the cursor then pivots each pair
-    # in the members where both its grades are 0, that is where they are equal.
+    # in the members where both its ranks are 0, that is where they are equal
+    # (rank 0 is grade 0: r has an incomparable pair).
     cursor = list(zip(pairs[0].tolist(), pairs[1].tolist()))
-    slab = max(1, _SLAB_BYTES // r.grid.nbytes)
+    slab = max(1, _SLAB_BYTES // grid.nbytes)
     for lo in range(0, len(tops), slab):
         a, b = tops[lo:lo + slab], bottoms[lo:lo + slab]
-        stack = np.minimum(r.grid.T[a][:, :, None], r.grid[b][:, None, :])
-        np.maximum(stack, r.grid, out=stack)
+        stack = np.minimum(grid.T[a][:, :, None], grid[b][:, None, :])
+        np.maximum(stack, grid, out=stack)
         for i, j in cursor:
             live = (stack[:, i, j] == stack[:, j, i]).nonzero()[0]
             if len(live):
@@ -199,17 +217,25 @@ def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
         for k, (top, bottom) in enumerate(zip(a, b)):
             merge(stack[k], f"orients({labels[top]},{labels[bottom]})")
         del stack  # merge copied what it keeps; free the slab before seeding the next
+
+    def member_grid(key):
+        return np.frombuffer(key, dtype=grid.dtype).reshape(grid.shape)
+
     # The first member is r's "low" linearization.  A clamp that is that base
     # joins its tags directly; any other clamp differs from it at (i, j).
-    base, base_tags = next(iter(merged.items()))
+    base_key, base_tags = next(iter(merged.items()))
+    base = member_grid(base_key)
     for i, j in positives:
         tag = f"preserves({labels[i]},{labels[j]})"
-        clamped = _clamp(r.grid, base.grid, i, j)
-        if clamped is base.grid:
+        clamped = _clamp(grid, base, i, j)
+        if clamped is base:
             base_tags.append(tag)
         else:
             merge(clamped, tag)
-    members = tuple(FamilyMember(rel, tuple(tags)) for rel, tags in merged.items())
+    members = tuple(
+        FamilyMember(FuzzyRelation._on_carrier_of(r, levels[member_grid(key)]), tuple(tags))
+        for key, tags in merged.items()
+    )
     return ExtensionFamily(members, built=len(tops) + len(positives))
 
 

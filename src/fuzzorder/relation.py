@@ -279,8 +279,10 @@ def _antisymmetry_witnesses(r: FuzzyRelation):
 
 
 # The byte budget of one slab of whole-grid work: the transitivity check's
-# rows of pairs, and the certifying family's stacked member grids, so that
-# the family of any order with n <= 22 fits in one slab.
+# rows of pairs, and the certifying family's stacked member rank grids, so
+# that the n(n - 1) or fewer orienting members of any order fit in one slab
+# for n <= 38 with one-byte ranks (at most 256 distinct grades) and for
+# n <= 32 with two-byte ones.
 _SLAB_BYTES = 2 << 20
 
 

@@ -24,7 +24,14 @@ from fuzzorder import extension as extension_module
 from fuzzorder import preserving
 from fuzzorder import relation as relation_module
 
-from genutil import block_sum, corpus, drop_preserving_members, reference_family, tight_regrade
+from genutil import (
+    block_sum,
+    corpus,
+    drop_preserving_members,
+    reference_family,
+    subnormal_regrade,
+    tight_regrade,
+)
 
 # Frozen from an entrywise evaluation of the clamp formula against the two
 # 7-element golden matrices (beta = 0.55, base = the pinned linearization).
@@ -243,11 +250,22 @@ def test_family_matches_reference_on_block_sums(sizes, ordinal):
     _assert_matches_reference(block_sum(sizes, ordinal, densities=DENSITIES))
 
 
-def test_family_block_sum_spans_several_slabs():
-    """The disjoint 36-element sum above stacks its orienting members in three slabs or more."""
+def _shape(family):
+    members = [(m.relation.grid.tobytes(), m.tags) for m in family.members]
+    return members, family.built
+
+
+def test_family_block_sum_spans_several_slabs(monkeypatch):
+    """With slabs of 300 one-byte rank grids, the disjoint 36-element sum above
+    stacks its orienting members in three slabs or more, and its family is the
+    one whole slabs give and the reference's."""
     r = block_sum((12, 12, 12), densities=DENSITIES)
-    members = 2 * len(incomparable_pairs(r))
-    assert members > 2 * (preserving._SLAB_BYTES // r.grid.nbytes)
+    assert len(np.unique(r.grid)) <= 256  # each grade's rank fits in one byte
+    assert 2 * len(incomparable_pairs(r)) > 2 * 300
+    whole = _shape(certifying_family(r))
+    monkeypatch.setattr(preserving, "_SLAB_BYTES", 300 * r.n * r.n)
+    assert _shape(certifying_family(r)) == whole
+    _assert_matches_reference(r)
 
 
 def test_family_does_not_depend_on_the_slab_size(
@@ -255,15 +273,44 @@ def test_family_does_not_depend_on_the_slab_size(
 ):
     """One member per slab gives the same members, tags, order and ``built``
     as whole slabs."""
-
-    def shape(family):
-        members = [(m.relation.grid.tobytes(), m.tags) for m in family.members]
-        return members, family.built
-
     orders = [order3, order4, order7, order7_linear, *corpus(100, max_n=12)]
-    whole = [shape(certifying_family(r)) for r in orders]
+    whole = [_shape(certifying_family(r)) for r in orders]
     monkeypatch.setattr(preserving, "_SLAB_BYTES", 1)
-    assert [shape(certifying_family(r)) for r in orders] == whole
+    assert [_shape(certifying_family(r)) for r in orders] == whole
+
+
+def _chains(sizes):
+    # The disjoint sum of chains of the given sizes, tight-regraded, whose
+    # positive off-diagonal grades are all distinct.  In a chain of m
+    # elements, element i sits below element j > i with code m(j - i) + i,
+    # offset past the codes of the chains before it.  For i < j < k, code
+    # (i, k) exceeds codes (i, j) and (j, k), so the chain is transitive.
+    n = sum(sizes)
+    codes, start, offset = np.zeros((n, n)), 0, 0
+    for m in sizes:
+        i, j = np.triu_indices(m, k=1)
+        codes[start + i, start + j] = m * (j - i) + i + offset + 1
+        start, offset = start + m, offset + m * m
+    grid = np.eye(n) + codes / (offset + 1)
+    return tight_regrade(FuzzyRelation(tuple(f"e{k + 1}" for k in range(n)), grid))
+
+
+@pytest.mark.parametrize("slab_bytes", [None, 1])
+def test_family_matches_reference_on_two_byte_ranks(monkeypatch, slab_bytes):
+    """An order with more than 256 distinct grades, whose ranks take two
+    bytes, in whole slabs and in slabs of one member."""
+    r = _chains((24, 3))
+    assert len(np.unique(r.grid)) > 256 and check_order(r).is_order
+    if slab_bytes is not None:
+        monkeypatch.setattr(preserving, "_SLAB_BYTES", slab_bytes)
+    _assert_matches_reference(r)
+
+
+@pytest.mark.parametrize("ordinal", [False, True])
+def test_family_matches_reference_on_subnormal_block_sums(ordinal):
+    """Block sums up to n = 24 whose least positive grade is the least subnormal."""
+    for sizes in BLOCK_SIZES[:3]:
+        _assert_matches_reference(subnormal_regrade(block_sum(sizes, ordinal, densities=DENSITIES)))
 
 
 def test_family_linearizes_the_order_once(monkeypatch, order3, order4, order7):
@@ -286,17 +333,9 @@ def test_family_linearizes_the_order_once(monkeypatch, order3, order4, order7):
     assert calls == {"linear_grid": 0, "incomparable": len(orders)}
 
 
-def test_family_builds_a_relation_only_for_members_other_than_the_base(
-    monkeypatch, order3, order4, order7
-):
-    """A clamp member that is the base linearization joins its tags without a new relation."""
+def test_family_builds_one_relation_per_member(monkeypatch, order3, order4, order7):
+    """Members are merged on their rank grids, so only the kept ones become relations."""
     orders = [r for r in [order3, order4, order7] + corpus(40, max_n=12) if not is_linear(r)]
-    expected = []
-    for r in orders:
-        base = linearize(r).relation.grid
-        positive = (r.grid > 0.0) & ~np.eye(r.n, dtype=bool)
-        clamps = int((positive & (base != r.grid)).sum())  # the clamps that differ from the base
-        expected.append(2 * len(incomparable_pairs(r)) + clamps)
     on_carrier_of = FuzzyRelation._on_carrier_of.__func__
     calls = []
 
@@ -305,12 +344,10 @@ def test_family_builds_a_relation_only_for_members_other_than_the_base(
         return on_carrier_of(cls, carrier, grid)
 
     monkeypatch.setattr(FuzzyRelation, "_on_carrier_of", classmethod(counted))
-    counts = []
     for r in orders:
         calls.clear()
-        certifying_family(r)
-        counts.append(len(calls))
-    assert counts == expected
+        family = certifying_family(r)
+        assert len(calls) == len(family.members)
 
 
 def _derived_relations(r):
