@@ -47,6 +47,7 @@ from .relation import (
     FuzzyOrderError,
     PreconditionError,
     _incomparable,
+    _same_carrier,
     check_order,
 )
 
@@ -240,7 +241,9 @@ def _manifest_paths(manifest: Path, inside) -> list[Path]:
     return paths
 
 
-def _read_family_dir(directory: Path):
+def _read_family_dir(directory: Path, labels):
+    # The members listed in or found in ``directory``, each on the carrier
+    # ``labels``; a ParseError names the first member that fails.
     root = directory.resolve()
 
     def inside(name: str, where: str) -> Path:
@@ -268,13 +271,14 @@ def _read_family_dir(directory: Path):
         text = _read_text(path)  # a non-UTF-8 error names the path already
         try:
             members.append(parse_matrix(text))
-        except ParseError as exc:
+            _same_carrier(members[-1].labels, labels)
+        except FuzzyOrderError as exc:
             raise ParseError(f"{path}: {exc}") from None
     return members
 
 
 def _cmd_verify(args, relation, report):
-    members = _read_family_dir(Path(args.family_dir))
+    members = _read_family_dir(Path(args.family_dir), relation.labels)
     verdict = verify_intersection(relation, members)
     report["verdicts"] = {"intersection_matches": verdict.passed}
     report["witnesses"] = verdict.witnesses

@@ -31,9 +31,9 @@ every y, by max-min transitivity,
 
     r(x, y) >= min(r(x, b_t), r(b_t, y)) >= min(r(x, a), r(b_t, y))
 
-for each t.  The trace is not kept from these updates: on first read it is
-replayed from the pivot list, one pivot at a time and with the same update,
-on a copy of the input grid.
+for each t.  The trace's steps are built from the pivot list; the first read
+of any step's raised entries replays every pivot, one at a time and with the
+same update, on a copy of the input grid.
 """
 
 from __future__ import annotations

@@ -41,7 +41,6 @@ import numpy as np
 
 from .extension import _linear_grid, _pivot_grid
 from .relation import (
-    CarrierMismatchError,
     ElementLike,
     FuzzyRelation,
     Pair,
@@ -50,6 +49,7 @@ from .relation import (
     _SLAB_BYTES,
     _incomparable,
     _passes_order,
+    _same_carrier,
     pointwise_inf,
 )
 
@@ -251,10 +251,7 @@ def verify_intersection(r: FuzzyRelation, family) -> Verdict:
     member's tags.  A family whose one member is r itself passes.
     """
     inf = pointwise_inf(m.relation if isinstance(m, FamilyMember) else m for m in family)
-    if inf.labels != r.labels:
-        raise CarrierMismatchError(
-            f"family carrier {inf.labels!r} differs from relation carrier {r.labels!r}"
-        )
+    _same_carrier(inf.labels, r.labels)
     witnesses = tuple(
         ((r.labels[i], r.labels[j]), float(inf.grid[i, j]), float(r.grid[i, j]))
         for i, j in np.argwhere(inf.grid != r.grid)

@@ -155,10 +155,10 @@ class FuzzyRelation:
     characters of valid UTF-8 text with no leading or trailing whitespace,
     which CSV strips, and no carriage return, which CSV writes unquoted and
     universal newlines turn into a line feed) and the grid (square, finite,
-    every entry in [0, 1]) and freezes both; operations never mutate a
-    relation, they build new ones on their input's already validated
-    carrier.  The one thing kept on a relation after construction is the
-    order verdict of its last check (see :func:`check_order`).
+    every entry in [0, 1]) and keeps a read-only copy of the grid, -0.0 made
+    +0.0.  Operations never mutate a relation; one they derive shares its
+    input's carrier and owns the fresh array its grid was computed into.  Only
+    its last check's order verdict is kept on it later (see :func:`check_order`).
     """
 
     labels: tuple[str, ...]
@@ -171,7 +171,7 @@ class FuzzyRelation:
         error = _label_error(labels)
         if error is not None:
             raise ValueError(error[1])
-        grid = np.asarray(self.grid, dtype=np.float64)
+        grid = np.asarray(self.grid, dtype=np.float64) + 0.0  # a copy, with -0.0 made +0.0
         n = len(labels)
         if grid.shape != (n, n):
             raise ValueError(
@@ -184,7 +184,7 @@ class FuzzyRelation:
         self._freeze(labels, grid)
 
     def _freeze(self, labels, grid, pos=None):
-        grid = grid + 0.0  # fresh array; also canonicalizes -0.0 to +0.0
+        # Adopts ``grid`` as it is, read-only from now on.
         grid.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "grid", grid)
@@ -192,18 +192,22 @@ class FuzzyRelation:
         # The order verdict of the last check of this relation (None: none
         # yet); see check_order.
         object.__setattr__(self, "_is_order", None)
+        return self
 
     @classmethod
     def _on_carrier_of(cls, carrier, grid) -> "FuzzyRelation":
         # A relation on a validated carrier, with ``grid`` unchecked: either a
         # relation r, sharing its labels and index, and a grid made by min/max
-        # from r's, or labels and n x n grades that a parser has checked.
+        # from r's, or labels and n x n grades that a parser has checked.  The
+        # caller hands over a fresh float64 array that nothing else writes.
+        # A derived grid is adopted as it is: min/max and indexing only pick
+        # grades that relations hold already, and none of those is -0.0.  A
+        # parsed grid may hold -0.0 (from a CSV "-0" or a JSON "-0.0"), so it
+        # is copied once, with -0.0 made +0.0.
         s = object.__new__(cls)
         if isinstance(carrier, FuzzyRelation):
-            s._freeze(carrier.labels, grid, carrier._pos)
-        else:
-            s._freeze(carrier, np.asarray(grid, dtype=np.float64))
-        return s
+            return s._freeze(carrier.labels, grid, carrier._pos)
+        return s._freeze(carrier, grid + 0.0)
 
     # -- carrier ----------------------------------------------------------
 
@@ -413,12 +417,19 @@ def incomparable_pairs(r: FuzzyRelation) -> list[Pair]:
     return list(map(Pair, elems[i].tolist(), elems[j].tolist()))
 
 
+def _same_carrier(labels, expected) -> None:
+    # CarrierMismatchError unless the carriers agree.  It names the first
+    # position where they differ, else the two sizes, and never a whole carrier.
+    if labels != expected:
+        k = next((k for k, (x, y) in enumerate(zip(labels, expected)) if x != y), None)
+        where = (f"element {k + 1} is {labels[k]!r}, not {expected[k]!r}" if k is not None
+                 else f"{len(labels)} elements, not {len(expected)}")
+        raise CarrierMismatchError(f"carriers differ: {where}")
+
+
 def extends(lo: FuzzyRelation, hi: FuzzyRelation) -> bool:
     """True when ``hi`` dominates ``lo`` entrywise over the same carrier."""
-    if lo.labels != hi.labels:
-        raise CarrierMismatchError(
-            f"carriers differ: {lo.labels!r} vs {hi.labels!r}"
-        )
+    _same_carrier(hi.labels, lo.labels)
     return bool((lo.grid <= hi.grid).all())
 
 
@@ -427,8 +438,8 @@ def pointwise_inf(family: Iterable[FuzzyRelation] | Sequence[FuzzyRelation]) -> 
     members = list(family)
     if not members:
         raise EmptyFamilyError("pointwise infimum of an empty family is undefined")
-    first = members[0]
+    inf = np.array(members[0].grid)  # the members fold into this one grid, never a stack
     for m in members[1:]:
-        if m.labels != first.labels:
-            raise CarrierMismatchError(f"carriers differ: {first.labels!r} vs {m.labels!r}")
-    return FuzzyRelation._on_carrier_of(first, np.minimum.reduce([m.grid for m in members]))
+        _same_carrier(m.labels, members[0].labels)
+        np.minimum(inf, m.grid, out=inf)
+    return FuzzyRelation._on_carrier_of(members[0], inf)

@@ -189,6 +189,24 @@ def test_verify_mismatch_exits_one(tmp_path, capsys):
     assert "mismatch at (x1,x2): inf=1, expected 0" in out
 
 
+@pytest.mark.parametrize("labels, difference", [
+    (("x1", "x2", "y3", "x4", "x5", "x6", "x7"), "element 3 is 'y3', not 'x3'"),
+    (("x1", "x2", "x3", "x4", "x5", "x6"), "6 elements, not 7"),
+], ids=["renamed", "shorter"])
+def test_verify_names_the_member_whose_carrier_differs(tmp_path, capsys, labels, difference):
+    """The message names the member file and where its carrier first differs, nothing more."""
+    fam_dir = tmp_path / "fam"
+    assert run_command(["family", ORDER7, "-o", str(fam_dir)]) == 0
+    member = fam_dir / "member_001.csv"
+    n = len(labels)
+    grid = load_matrix(str(member))[0].grid[:n, :n]
+    member.write_text(emit_matrix(FuzzyRelation(labels, grid), "csv"), encoding="utf-8")
+    capsys.readouterr()
+    assert run_command(["verify", ORDER7, "--family", str(fam_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {member.resolve()}: carriers differ: {difference}\n"
+
+
 def test_verify_empty_family_dir_exits_two(tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()

@@ -98,6 +98,22 @@ def test_parse_csv_keeps_accepting_signs_bare_fractions_exponents_and_spaces(lab
     assert r.tolists() == [[1.0, 0.5], [0.0, 1.0]]
 
 
+@pytest.mark.parametrize("text", [
+    ",a,b\na,1,-0\nb,-0.0,1\n",
+    '{"elements": ["a", "b"], "matrix": [[1, -0], [-0.0, 1]]}',
+], ids=["csv", "json"])
+def test_parse_makes_negative_zero_cells_positive_zero(text):
+    """A parser is where a grid enters, so -0 and -0.0 cells leave it as +0.0."""
+    r = parse_matrix(text)
+    zero = FuzzyRelation(("a", "b"), [[1, 0], [0, 1]])
+    assert not np.signbit(r.grid).any()
+    assert r == zero and hash(r) == hash(zero)
+    assert r.grid.tobytes() == zero.grid.tobytes()
+    for fmt in ("csv", "json"):
+        assert emit_matrix(r, fmt) == emit_matrix(zero, fmt)
+        assert "-0" not in emit_matrix(r, fmt)
+
+
 @pytest.mark.parametrize("text, message", [
     (",a,b\na,1,1.5\nb,0\n", "value 1.5 outside [0, 1] (row 2, column 3)"),
     (",a,b\na,1,x\nb,0\n", "malformed number 'x' (row 2, column 3)"),

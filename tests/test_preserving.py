@@ -1,5 +1,7 @@
 """Clamp construction, certifying families, and intersection verification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from fuzzorder import relation as relation_module
 
 from genutil import (
     block_sum,
+    block_sums,
     corpus,
     drop_preserving_members,
     reference_family,
@@ -377,6 +380,26 @@ def test_derived_relations_share_the_validated_carrier(order3, order4, order7, o
             assert not s.grid.flags.writeable
             # its own fresh array: no view of r's grid, a slab or another member
             assert s.grid.flags.owndata and not np.shares_memory(s.grid, r.grid)
+        members = certifying_family(r).relations()
+        inf = pointwise_inf(members)  # a linear r is its own one-member family
+        for k, s in enumerate(members):
+            assert not np.shares_memory(inf.grid, s.grid)
+            assert not any(np.shares_memory(s.grid, t.grid) for t in members[k + 1:])
+
+
+def test_pointwise_inf_folds_members_into_one_grid():
+    """The infimum never stacks the family: its peak is a few n x n grids, not K of them."""
+    r = block_sums()[2]  # the disjoint sum of four 12-element blocks
+    members = certifying_family(r).relations()
+    assert len(members) >= 1000
+    tracemalloc.start()
+    try:
+        inf = pointwise_inf(members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inf == r and inf.grid.flags.owndata
+    assert peak < 4 * r.grid.nbytes, peak
 
 
 def test_family_and_verify_skip_the_label_rule(monkeypatch, order7):
