@@ -24,22 +24,29 @@ b has r(b, a) = 0.  So the run as a whole is one update
 and its pivots are the pairs still incomparable when reached: b is skipped
 iff r(a, b) > 0 or r(b, a) > 0 when the run starts, or an earlier pivot's
 bottom b' has r(b', b) > 0.  Every run of any length costs one update of
-the rows and columns that :func:`_raise_block` shows can rise: the columns y
-with max_t r(b_t, y) > r(a, y), and the rows x with r(x, a) > min_t r(x, b_t).
-A row x with r(x, a) <= r(x, b_t) for every t cannot rise, since then for
-every y, by max-min transitivity,
+only the columns y with max_t r(b_t, y) > r(a, y) and the rows x with
+r(x, a) > min_t r(x, b_t).  By max-min transitivity nothing else rises: in
+any other column,
+
+    min(r(x, a), max_t r(b_t, y)) <= min(r(x, a), r(a, y)) <= r(x, y),
+
+and in any other row r(x, a) <= r(x, b_t) for every t, so for every y
 
     r(x, y) >= min(r(x, b_t), r(b_t, y)) >= min(r(x, a), r(b_t, y))
 
-for each t.  The trace's steps are built from the pivot list; the first read
-of any step's raised entries replays every pivot, one at a time and with the
-same update, on a copy of the input grid.
+for each t.
+
+The trace keeps only the pivots.  The first read of any step's
+``entries_raised`` replays every pivot, one at a time and with the same
+update, on a copy of the input grid, and builds and keeps every step's
+tuple, since a caller who reads one step's entries tends to read them all.
+A caller who reads only k, m and the pivots never pays for them.  Steps
+may be read from several threads at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Union
 
 import numpy as np
@@ -71,7 +78,7 @@ class PivotStep:
     ``entries_raised`` records every strictly increased entry as
     ``((x_label, y_label), old, new)``, in row-major order.  The pivot pair
     itself appears here as ``((a, b), 0.0, 1.0)``.  A step from
-    :func:`linearize` builds these tuples on first read and keeps them.
+    :func:`linearize` builds them on first read (see the module docstring).
     """
 
     a: Element
@@ -89,9 +96,8 @@ class PivotStep:
 
     def __getattr__(self, name):
         # Reached only for an attribute not yet set: the entries_raised of a
-        # step made by _replayed.  The entries are stored before the replay
-        # handle is dropped, so a thread that reads at the same time finds
-        # one or the other.
+        # step made by _replayed.  They are stored before the replay handle
+        # is dropped, so a concurrent reader finds one or the other.
         fields = self.__dict__
         if name == "entries_raised":
             replay = fields.get("_replay")
@@ -190,12 +196,9 @@ def _raise_block(h, a, top, floor):
     # h[x, y] = max(h[x, y], min(h[x, a], top[y])) in place on the order grid
     # h: the pivot of a above b when top = h[b] and floor = h[:, b], or a run
     # of such pivots when top is the max of their bottoms' rows and floor the
-    # min of their bottoms' columns.  Only the rows x with h[x, a] > floor[x]
-    # and the columns y with top[y] > h[a, y] can rise.  Elsewhere, by
-    # max-min transitivity, either min(h[x, a], top[y]) <= min(h[x, a],
-    # h[a, y]) <= h[x, y], or h[x, a] <= h[x, b] for every bottom b, so that
-    # min(h[x, a], h[b, y]) <= min(h[x, b], h[b, y]) <= h[x, y] for each b.
-    # Returns those rows and columns and their block of old and new grades.
+    # min of their bottoms' columns.  Writes only the rows and columns that
+    # can rise (see the module docstring) and returns them with their block
+    # of old and new grades.
     rows = (h[:, a] > floor).nonzero()[0]
     cols = (top > h[a]).nonzero()[0]
     at = rows[:, None]
@@ -215,27 +218,23 @@ def _linear_grid(grid: np.ndarray) -> np.ndarray:
 
 def _replay_steps(r: FuzzyRelation, tops, bottoms) -> list:
     # The entries_raised of each pivot tops[t] above bottoms[t] of a
-    # linearization of r, found by applying the pivots in turn to a copy of
-    # r's grid g.
+    # linearization of r, one tuple per pivot, built from that pivot's raised
+    # block as the pivots are applied in turn to a copy of r's grid g.
     g = np.array(r.grid)
-    counts, parts = [], []
+    names = np.array(r.labels, dtype=object)
+    steps = []
     for a, b in zip(tops, bottoms):
         rows, cols, old, new = _raise_block(g, a, g[b], g[:, b])
         xs, ys = (new > old).nonzero()
-        counts.append(len(xs))
-        parts.append((rows[xs], cols[ys], old[xs, ys], new[xs, ys]))
-    xs, ys, old, new = map(np.concatenate, zip(*parts))
-    names = np.array(r.labels, dtype=object)
-    entries = list(zip(zip(names[xs].tolist(), names[ys].tolist()), old.tolist(), new.tolist()))
-    ends = list(accumulate(counts))
-    return [tuple(entries[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+        xl, yl = names[[rows[xs], cols[ys]]].tolist()
+        steps.append(tuple(zip(zip(xl, yl), old[xs, ys].tolist(), new[xs, ys].tolist())))
+    return steps
 
 
 class _Replay:
-    # The pivots of one linearization, shared by its steps.  The first read
-    # of any step's entries replays every step's, since a caller who reads
-    # one step's entries tends to read them all.  Threads that read at once
-    # may each replay; setdefault publishes the first result to all of them.
+    # The pivots of one linearization, shared by its steps; indexing replays
+    # them all once.  Threads that index at once may each replay;
+    # setdefault publishes the first result to all of them.
     def __init__(self, r, tops, bottoms):
         self._inputs = r, tops, bottoms
 
@@ -267,15 +266,10 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
     each run is applied as one grid update, which raises (x, y) to the min
     of r(x, i) and the max of those elements' grades at y wherever that is
     higher (with rows and columns swapped when i goes below).  Grid, trace
-    and k are those of pivoting one pair at a time.  The update, and the
-    replay below, write only the rows and columns that ``_raise_block``
-    shows can rise.  The trace keeps only the pivots: the first time any
-    step's ``entries_raised`` are read, the pivots are replayed one at a
-    time on the input grid to build every step's, so a caller who reads
-    only k, m and the pivots never pays for them.  Steps may be read from
-    several threads at once.  The order precondition reads a verdict that
-    :func:`~fuzzorder.check_order` recorded on ``r`` instead of checking
-    again.
+    and k are those of pivoting one pair at a time.  The trace's
+    ``entries_raised`` are built on first read (see the module docstring).
+    The order precondition reads a verdict that :func:`~fuzzorder.check_order`
+    recorded on ``r`` instead of checking again.
 
     Equal inputs produce identical traces and outputs.
     """

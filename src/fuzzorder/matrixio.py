@@ -210,7 +210,10 @@ def parse_matrix(text: str, fmt: str | None = None) -> FuzzyRelation:
 
     With ``fmt=None`` the format is detected from the text.  A leading UTF-8
     byte order mark is ignored.  Raises :class:`ParseError` with a position
-    for malformed documents: the document's first error in row-major order.
+    for malformed documents: the document's first error, taking the header
+    (CSV) or the document's shape and labels (JSON) first, then the number
+    of rows, then the rows in row-major order.  A document with the wrong
+    number of rows reports that before any grade.
     """
     text = text.removeprefix(_BOM)
     fmt = fmt or detect_format(text)

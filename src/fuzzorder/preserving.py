@@ -144,8 +144,8 @@ def clamp_extend(r: FuzzyRelation, a: ElementLike, b: ElementLike) -> ClampResul
 
 def _clamp(grid: np.ndarray, base: np.ndarray, i: int, j: int) -> np.ndarray:
     # The member preserving the order grid's grade beta at (i, j), unchecked:
-    # the linear extension ``base`` itself if it already keeps beta there,
-    # else the clamp formula at level beta on base.
+    # the array ``base`` itself if it already keeps beta there (clamp_extend
+    # tests for that identity), else the clamp formula at level beta on base.
     beta = grid[i, j]
     if base[i, j] == beta:
         return base
@@ -204,6 +204,9 @@ def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
     # in the members where both its ranks are 0, that is where they are equal
     # (rank 0 is grade 0: r has an incomparable pair).
     cursor = list(zip(pairs[0].tolist(), pairs[1].tolist()))
+    # The n(n - 1) or fewer orienting members fit in one slab for n <= 38
+    # with one-byte ranks (at most 256 distinct grades) and for n <= 32 with
+    # two-byte ones.
     slab = max(1, _SLAB_BYTES // grid.nbytes)
     for lo in range(0, len(tops), slab):
         a, b = tops[lo:lo + slab], bottoms[lo:lo + slab]
@@ -221,17 +224,12 @@ def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
     def member_grid(key):
         return np.frombuffer(key, dtype=grid.dtype).reshape(grid.shape)
 
-    # The first member is r's "low" linearization.  A clamp that is that base
-    # joins its tags directly; any other clamp differs from it at (i, j).
-    base_key, base_tags = next(iter(merged.items()))
-    base = member_grid(base_key)
+    # The first member is r's "low" linearization and the base of every
+    # clamp.  A clamp equal to the base has the base's rank bytes, so its tag
+    # joins the base's tags.
+    base = member_grid(next(iter(merged)))
     for i, j in positives:
-        tag = f"preserves({labels[i]},{labels[j]})"
-        clamped = _clamp(grid, base, i, j)
-        if clamped is base:
-            base_tags.append(tag)
-        else:
-            merge(clamped, tag)
+        merge(_clamp(grid, base, i, j), f"preserves({labels[i]},{labels[j]})")
     members = tuple(
         FamilyMember(FuzzyRelation._on_carrier_of(r, levels[member_grid(key)]), tuple(tags))
         for key, tags in merged.items()

@@ -363,7 +363,8 @@ def _reference_json(text: str) -> FuzzyRelation:
 
 def reference_parse_matrix(text: str, fmt: str | None = None) -> FuzzyRelation:
     """Reference parser: every grade cell checked on its own, in row-major order,
-    so the first error in the document is the one raised."""
+    after the header or document shape, the labels and the row count, so the
+    first error in the document is the one raised."""
     text = text.removeprefix("\ufeff")
     fmt = fmt or detect_format(text)
     return _reference_csv(text) if fmt == "csv" else _reference_json(text)

@@ -5,6 +5,7 @@ import dataclasses
 import pickle
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -473,6 +474,20 @@ def test_first_reads_from_two_threads_at_once(steps):
             assert got == reference
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_replay_peak_stays_near_the_entries_it_keeps():
+    """Reading one step replays every pivot into its own tuple, with no flat copy."""
+    result = linearize(block_sum((12,) * 16))  # the n = 192 disjoint sum
+    assert result.k == 3964
+    tracemalloc.start()
+    try:
+        result.trace[0].entries_raised
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(step.entries_raised) for step in result.trace) == 29635
+    assert peak < 1.5 * held, (peak, held)
 
 
 def test_reading_only_k_m_and_pivots_builds_no_entry_tuple(monkeypatch, order7):

@@ -144,9 +144,13 @@ def test_parse_makes_negative_zero_cells_positive_zero(text):
     ('{"elements":["a","b","c"],"matrix":[[1,0,5],[0,1,true],[0,0,1]]}',
      "value 5.0 outside [0, 1] (row 1, column 3)"),
     ('{"elements":["a","b"],"matrix":[[1,true],[0]]}', "malformed number True (row 1, column 2)"),
+    # The row count is checked before any row.
+    (",a,b\na,1,1.5\n", "expected 2 data rows for 2 labels, got 1 (row 2, column 1)"),
+    ('{"elements":["a","b"],"matrix":[[1,2]]}', "expected 2 matrix rows, got 1"),
 ])
 def test_parse_reports_the_first_error_in_row_major_order(text, message):
-    """A grade error in an earlier row beats a structural error in a later one."""
+    """A grade error in an earlier row beats a structural error in a later one,
+    and a wrong row count beats both."""
     with pytest.raises(ParseError) as exc:
         parse_matrix(text)
     assert str(exc.value) == message
@@ -229,6 +233,9 @@ def test_parse_json_errors():
         parse_matrix('{"elements": ["a"], "matrix": [[true]]}')
     with pytest.raises(ParseError, match="rows"):
         parse_matrix('{"elements": ["a", "b"], "matrix": [[1, 0]]}')
+    with pytest.raises(ParseError) as exc:
+        parse_matrix('{"elements": ["a"], "matrix": {"a": [1]}}')
+    assert str(exc.value) == '"matrix" must be an array of rows'
 
 
 def test_parse_json_integer_beyond_float_range_positioned():
