@@ -36,17 +36,19 @@ and in any other row r(x, a) <= r(x, b_t) for every t, so for every y
 
 for each t.
 
-The trace keeps only the pivots.  The first read of any step's
-``entries_raised`` replays every pivot, one at a time and with the same
-update, on a copy of the input grid, and builds and keeps every step's
-tuple, since a caller who reads one step's entries tends to read them all.
-A caller who reads only k, m and the pivots never pays for them.  Steps
-may be read from several threads at once.
+The trace keeps only the pivots.  Its steps share one slot, a one-item list
+holding the call that replays every pivot on a copy of the input grid, one
+at a time and with the same update.  The first read of any step's
+``entries_raised`` puts every step's tuple in the call's place (a caller who
+reads one step's entries tends to read them all), which releases the input.
+Reading only k, m and the pivots never pays for them.  Steps may be read
+from several threads at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Union
 
 import numpy as np
@@ -87,25 +89,31 @@ class PivotStep:
     entries_raised: tuple[tuple[tuple[str, str], float, float], ...]
 
     @classmethod
-    def _replayed(cls, a, b, step_index, replay) -> "PivotStep":
-        # A step whose entries are replay[step_index - 1], built on first read.
-        step = object.__new__(cls)
-        fields = {"a": a, "b": b, "step_index": step_index, "_replay": replay}
-        object.__setattr__(step, "__dict__", fields)
-        return step
+    def _replayed(cls, r, tops, bottoms) -> tuple["PivotStep", ...]:
+        # The steps putting tops[t] above bottoms[t], t = 0, 1, ..., in a
+        # linearization of r, without entries_raised and sharing one slot.
+        slot, elems, steps = [partial(_replay_steps, r, tops, bottoms)], r.elements, []
+        for k, (a, b) in enumerate(zip(tops, bottoms), start=1):
+            steps.append(object.__new__(cls))
+            steps[-1].__dict__.update(a=elems[a], b=elems[b], step_index=k, _replay=slot)
+        return tuple(steps)
 
     def __getattr__(self, name):
         # Reached only for an attribute not yet set: the entries_raised of a
-        # step made by _replayed.  They are stored before the replay handle
+        # step made by _replayed.  The first reader of any step runs the
+        # slot's call and puts its result there; every reader of this step
+        # then gets the first tuple stored, which is stored before the slot
         # is dropped, so a concurrent reader finds one or the other.
         fields = self.__dict__
-        if name == "entries_raised":
-            replay = fields.get("_replay")
-            if replay is not None:
-                object.__setattr__(self, name, replay[self.step_index - 1])
-                fields.pop("_replay", None)
-            if name in fields:
-                return fields[name]
+        slot = fields.get("_replay") if name == "entries_raised" else None
+        if slot is not None:
+            steps = slot[0]
+            if callable(steps):
+                steps = slot[0] = steps()
+            fields.setdefault(name, steps[self.step_index - 1])
+            fields.pop("_replay", None)
+        if name in fields:
+            return fields[name]
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
@@ -231,20 +239,6 @@ def _replay_steps(r: FuzzyRelation, tops, bottoms) -> list:
     return steps
 
 
-class _Replay:
-    # The pivots of one linearization, shared by its steps; indexing replays
-    # them all once.  Threads that index at once may each replay;
-    # setdefault publishes the first result to all of them.
-    def __init__(self, r, tops, bottoms):
-        self._inputs = r, tops, bottoms
-
-    def __getitem__(self, k: int) -> tuple:
-        steps = self.__dict__.get("_steps")
-        if steps is None:
-            steps = self.__dict__.setdefault("_steps", _replay_steps(*self._inputs))
-        return steps[k]
-
-
 def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationResult:
     """Extend an order to a linear one by repeated pivoting.
 
@@ -258,7 +252,9 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
     * ``"high"``: the higher-indexed element goes on top.
     * an iterable of ``(a, b)`` element references (Element, label or
       index, resolved as by :func:`pivot_extend`): those pairs are put a
-      above b when encountered; unlisted pairs fall back to ``"low"``.
+      above b when encountered; unlisted pairs fall back to ``"low"``.  A
+      list that orients a pair both ways, or pairs an element with itself,
+      raises :class:`ValueError` naming the pair.
 
     The pairs are taken in runs: consecutive pairs (i, j) with the same i
     whose pivots all put i on top, or all put it below.  No pivot of a run
@@ -283,6 +279,10 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
     else:
         for x, y in policy:
             above[r.index_of(x), r.index_of(y)] = True
+        both = np.argwhere(np.triu(above & above.T))
+        if len(both):
+            x, y = (r.labels[i] for i in both[0])
+            raise ValueError(f"the override list orients the pair ({x!r}, {y!r}) both ways")
 
     if not _passes_order(r):
         raise PreconditionError("not-an-order", "linearize requires a valid fuzzy order")
@@ -293,12 +293,8 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
     for run_tops, run_bottoms in _runs(grid, pairs, above[pairs[1], pairs[0]]):
         tops += run_tops
         bottoms += run_bottoms
-    replay, elems = _Replay(r, tops, bottoms), r.elements
-    trace = tuple(
-        PivotStep._replayed(elems[a], elems[b], k, replay)
-        for k, (a, b) in enumerate(zip(tops, bottoms), start=1)
-    )
     relation = FuzzyRelation._on_carrier_of(r, grid)
+    trace = PivotStep._replayed(r, tops, bottoms)
     return LinearizationResult(relation, trace, len(tops), 2 * len(pairs[0]))
 
 

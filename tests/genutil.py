@@ -103,6 +103,46 @@ def rescan_linearization(grid: np.ndarray, labels=None, orient=lambda i, j: (i, 
         grid = new
 
 
+def closure_linearization(r: FuzzyRelation, policy="low"):
+    """Reference linearization from r's 0/1 support and a max-min closure.
+
+    A pair is incomparable iff both its grades are 0, and min and max of
+    positive grades are positive, so which pairs get pivoted depends only on
+    the support s = (r > 0), a crisp partial order.  A crisp rescan takes the
+    row-major first incomparable pair {i, j}, i < j, orients it by
+    ``policy`` ("low": i above j, "high": j above i, or a list of (a, b)
+    element references put a above b, "low" for unlisted pairs) and closes
+    the support under it, s |= outer(s[:, a], s[b, :]), until none is left.
+    The grid is then the max-min transitive closure (Warshall, n steps) of r
+    with every pivot (a, b) set to 1.  Returns the grid and the pivots as
+    ``(a, b)`` index pairs.  It shares no update formula with the library's
+    linearization loop or with ``rescan_linearization``.
+    """
+    if policy == "low":
+        orient = lambda i, j: (i, j)
+    elif policy == "high":
+        orient = lambda i, j: (j, i)
+    else:
+        above = {(r.index_of(a), r.index_of(b)) for a, b in policy}
+        orient = lambda i, j: (j, i) if (j, i) in above else (i, j)
+    s, upper = r.grid > 0.0, np.triu(np.ones((r.n, r.n), dtype=bool), k=1)
+    pivots = []
+    while True:
+        free = upper & ~(s | s.T)  # the incomparable pairs {i, j}, i < j
+        first = int(free.argmax())
+        if not free.flat[first]:
+            break
+        a, b = orient(*divmod(first, r.n))
+        s |= np.outer(s[:, a], s[b, :])
+        pivots.append((a, b))
+    g = np.array(r.grid)
+    for a, b in pivots:
+        g[a, b] = 1.0
+    for k in range(r.n):
+        np.maximum(g, np.minimum.outer(g[:, k], g[k, :]), out=g)
+    return g, pivots
+
+
 @functools.cache
 def low_rescan(r: FuzzyRelation):
     """``rescan_linearization(r.grid, r.labels)``, the "low" reference, once per relation."""

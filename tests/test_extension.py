@@ -2,10 +2,13 @@
 
 import copy
 import dataclasses
+import gc
 import pickle
+import re
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -45,9 +48,11 @@ from conftest import (
 from genutil import (
     block_sum,
     block_sums,
+    closure_linearization,
     corpus,
     low_rescan,
     rescan_linearization,
+    subnormal_regrade,
     tight_regrade,
 )
 
@@ -220,6 +225,26 @@ def test_override_policy_rejects_unknown_references(order3):
         linearize(order3, policy=[(0, 3)])
 
 
+@pytest.mark.parametrize(
+    "policy, pair",
+    [
+        ([("a", "b"), ("b", "a")], "('a', 'b')"),
+        ([("b", "a"), ("a", "b")], "('a', 'b')"),
+        ([("a", "c"), (2, 1), (1, 2)], "('b', 'c')"),
+        ([("c", "c")], "('c', 'c')"),
+    ],
+    ids=["ab-ba", "ba-ab", "by-index", "self"],
+)
+def test_override_list_that_contradicts_itself_is_rejected(order3, policy, pair):
+    """A list orienting one pair both ways, or an element against itself, names the pair."""
+    message = f"orients the pair {re.escape(pair)} both ways"
+    with pytest.raises(ValueError, match=message):
+        linearize(order3, policy=policy)
+    # The list is checked before the order precondition.
+    with pytest.raises(ValueError, match=message):
+        linearize(FuzzyRelation(ORDER3_LABELS, np.zeros((3, 3))), policy=policy)
+
+
 def test_unknown_policy_rejected(order3):
     with pytest.raises(ValueError, match="policy"):
         linearize(order3, policy="sideways")
@@ -258,6 +283,26 @@ def _random_flips(r, seed):
     flipped = {(j, i) for i, j in np.argwhere(_incomparable(r.grid)).tolist() if coins[i * r.n + j]}
     overrides = [(r.labels[a], r.labels[b]) for a, b in sorted(flipped)]
     return overrides, lambda i, j: (j, i) if (j, i) in flipped else (i, j)
+
+
+def test_linearize_matches_the_closure_oracle(order3, order4, order7):
+    """Pivots come from the 0/1 support alone, and the grid is r's max-min
+    closure with the pivots set to 1: bit for bit, on the goldens, the corpus
+    and the block sums up to n = 96, each also tight- and subnormal-regraded,
+    under "low" and "high"; all but the corpus orders also under a random
+    override list."""
+    cases = [(o, True) for o in (order3, order4, order7, *block_sums()[:6])]
+    cases += [(o, False) for o in corpus(300, max_n=12)]
+    for o, flips in cases:
+        policies = ["low", "high", _random_flips(o, o.n)[0]] if flips else ["low", "high"]
+        for r in (o, tight_regrade(o), subnormal_regrade(o)):
+            support = FuzzyRelation(r.labels, (r.grid > 0.0).astype(float))
+            for policy in policies:
+                result = linearize(r, policy)
+                grid, pivots = closure_linearization(r, policy)
+                assert [(s.a.index, s.b.index) for s in result.trace] == pivots
+                assert result.relation.grid.tobytes() == grid.tobytes()
+                assert [(s.a.index, s.b.index) for s in linearize(support, policy).trace] == pivots
 
 
 def _assert_policy_matches_rescan(r, policy, orient):
@@ -441,8 +486,16 @@ def test_steps_built_on_read_keep_the_dataclass_protocol():
     match linearize(r).trace[0]:
         case PivotStep(a, b, index, entries):
             assert (a, b, index, entries) == (eager.a, eager.b, 1, eager.entries_raised)
+    read = linearize(r).trace[:3]
+    for s in read:
+        s.entries_raised
     for clone in (copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))):
         assert clone(linearize(r).trace[0]) == eager
+        for s, expected in zip(read, steps):  # a read step carries no slot
+            copied = clone(s)
+            assert "_replay" not in copied.__dict__
+            assert copied == expected and repr(copied) == repr(expected)
+            assert hash(copied) == hash(expected)
     with pytest.raises(AttributeError):
         step.pivot
 
@@ -472,8 +525,24 @@ def test_first_reads_from_two_threads_at_once(steps):
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
             assert got == reference
+            if steps[0] == steps[1]:
+                assert got[0] is got[1] is trace[steps[0]].entries_raised
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_first_replay_releases_the_input():
+    """Once any step's entries are read, the trace no longer holds the input relation."""
+    source = block_sum((12,) * 4)
+    r = FuzzyRelation(source.labels, np.array(source.grid))  # not the cached instance
+    result, input_ref = linearize(r), weakref.ref(r)
+    del r
+    gc.collect()
+    assert input_ref() is not None  # unread, the trace's slot holds it for the replay
+    result.trace[-1].entries_raised
+    gc.collect()
+    assert input_ref() is None
+    assert result.trace[0].entries_raised == low_rescan(source)[1][0][2]
 
 
 def test_replay_peak_stays_near_the_entries_it_keeps():
