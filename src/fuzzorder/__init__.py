@@ -15,80 +15,18 @@ The package is organized around one immutable data model
   and the command-line front end.
 """
 
-from .extension import (
-    LinearizationResult,
-    PivotStep,
-    count_incomparable_entries,
-    linearize,
-    pivot_extend,
-)
-from .matrixio import ParseError, emit_matrix, load_matrix, parse_matrix, save_matrix
-from .oracle import GeneratorSpec, brute_check_order, random_zadeh_order
-from .preserving import (
-    ClampResult,
-    ExtensionFamily,
-    FamilyMember,
-    certifying_family,
-    clamp_extend,
-    verify_intersection,
-)
-from .relation import (
-    AxiomReport,
-    CarrierMismatchError,
-    Element,
-    EmptyFamilyError,
-    FuzzyOrderError,
-    FuzzyRelation,
-    Pair,
-    PreconditionError,
-    Verdict,
-    check_order,
-    extends,
-    incomparable_pairs,
-    is_antisymmetric,
-    is_linear,
-    is_reflexive,
-    is_transitive,
-    pointwise_inf,
-)
+from . import extension, matrixio, oracle, preserving, relation
+from .extension import *
+from .matrixio import *
+from .oracle import *
+from .preserving import *
+from .relation import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxiomReport",
-    "CarrierMismatchError",
-    "ClampResult",
-    "Element",
-    "EmptyFamilyError",
-    "ExtensionFamily",
-    "FamilyMember",
-    "FuzzyOrderError",
-    "FuzzyRelation",
-    "GeneratorSpec",
-    "LinearizationResult",
-    "Pair",
-    "ParseError",
-    "PivotStep",
-    "PreconditionError",
-    "Verdict",
-    "brute_check_order",
-    "certifying_family",
-    "check_order",
-    "clamp_extend",
-    "count_incomparable_entries",
-    "emit_matrix",
-    "extends",
-    "incomparable_pairs",
-    "is_antisymmetric",
-    "is_linear",
-    "is_reflexive",
-    "is_transitive",
-    "linearize",
-    "load_matrix",
-    "parse_matrix",
-    "pivot_extend",
-    "pointwise_inf",
-    "random_zadeh_order",
-    "save_matrix",
-    "verify_intersection",
-]
+# Each module's ``__all__`` declares its public names; the package exports
+# exactly those.
+__all__ = sorted({
+    *relation.__all__, *extension.__all__, *preserving.__all__,
+    *oracle.__all__, *matrixio.__all__,
+})

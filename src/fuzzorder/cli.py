@@ -30,8 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .extension import linearize, pivot_extend
+from .extension import POLICIES, linearize, pivot_extend
 from .matrixio import (
+    FORMATS,
     ParseError,
     _read_json,
     _read_text,
@@ -66,10 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
         return names, options
 
     def command(name, handler, help, *flags, file=True,
-                output="write the resulting matrix here", fmt="input format"):
+                output="write the resulting matrix here"):
         # ``flags`` come from ``flag``; ``output`` is the help of -o, or None
-        # for a command that writes no matrix; ``fmt`` names the default of
-        # --format.
+        # for a command that writes no matrix.  Without a ``file``, the
+        # output format defaults to the -o extension.
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         if file:
@@ -79,14 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
         if output:
             p.add_argument("-o", "--output", help=output)
-            p.add_argument(
-                "--format", choices=("csv", "json"), help=f"output format (default: {fmt})"
-            )
+            fmt = "input format" if file else "the -o extension, else csv"
+            p.add_argument("--format", choices=FORMATS, help=f"output format (default: {fmt})")
 
     command("check", _cmd_check, "validate the order axioms and linearity", output=None)
     command("linearize", _cmd_linearize, "extend an order to a linear one",
             flag("--trace", action="store_true", help="list every pivot and raised entry"),
-            flag("--policy", choices=("low", "high"), default="low",
+            flag("--policy", choices=POLICIES, default="low",
                  help="pivot orientation (default: low index on top)"))
     command("pivot", _cmd_pivot, "apply one pivot extension",
             flag("--a", required=True, help="label of the element to put on top"),
@@ -101,8 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
             output=None)
     command("gen", _cmd_gen, "generate a reproducible random order",
             flag("--n", type=int, required=True), flag("--density", type=float, required=True),
-            flag("--seed", type=int, required=True), file=False,
-            fmt="the -o extension, else csv")
+            flag("--seed", type=int, required=True), file=False)
     return parser
 
 
@@ -262,7 +261,7 @@ def _read_family_dir(directory: Path, labels):
         paths = [
             inside(p.name, f"{directory}: ")
             for p in sorted(directory.iterdir())
-            if p.suffix.lower() in (".csv", ".json") and p.name != "family.json"
+            if p.suffix.lower()[1:] in FORMATS and p.name != "family.json"
         ]
     if not paths:
         raise EmptyFamilyError(f"no family members found in {directory}")

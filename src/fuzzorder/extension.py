@@ -70,6 +70,7 @@ __all__ = [
     "pivot_extend",
 ]
 
+POLICIES = ("low", "high")  # the named policies; see linearize
 PivotPolicy = Union[str, Iterable[tuple[ElementLike, ElementLike]]]
 
 
@@ -272,7 +273,7 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
     # above[x, y]: x goes above y when the pair {x, y} is pivoted.
     above = np.zeros((r.n, r.n), dtype=bool)
     if isinstance(policy, str):
-        if policy not in ("low", "high"):
+        if policy not in POLICIES:
             raise ValueError(f"unknown pivot policy {policy!r}")
         if policy == "high":
             above = np.tri(r.n, k=-1, dtype=bool)

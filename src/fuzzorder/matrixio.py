@@ -28,9 +28,7 @@ from .relation import FuzzyOrderError, FuzzyRelation, _label_error
 
 __all__ = [
     "ParseError",
-    "detect_format",
     "emit_matrix",
-    "format_for_path",
     "load_matrix",
     "parse_matrix",
     "save_matrix",

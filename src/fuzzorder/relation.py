@@ -22,7 +22,6 @@ __all__ = [
     "AxiomReport",
     "CarrierMismatchError",
     "Element",
-    "ElementLike",
     "EmptyFamilyError",
     "FuzzyOrderError",
     "FuzzyRelation",

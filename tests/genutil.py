@@ -77,6 +77,32 @@ def block_sums() -> list[FuzzyRelation]:
     return [block_sum(s, ordinal) for s in sizes for ordinal in (False, True)]
 
 
+def labeled_posets(n: int) -> np.ndarray:
+    """Every partial order on n labeled points, as an array of n x n bool grids.
+
+    Enumerates all 2^(n(n-1)) off-diagonal bit patterns at once, with a unit
+    diagonal, and keeps the antisymmetric, transitive ones (s.s <= s, an
+    integer matrix product).  There are 1, 3, 19, 219, 4231 of them for
+    n = 1..5 (OEIS A001035).
+    """
+    off, k = ~np.eye(n, dtype=bool), n * (n - 1)
+    bits = np.arange(2**k)[:, None] >> np.arange(k) & 1
+    grids = np.broadcast_to(np.eye(n, dtype=bool), (len(bits), n, n)).copy()
+    grids[:, off] = bits.astype(bool)
+    grids = grids[~(grids & grids.transpose(0, 2, 1) & off).any(axis=(1, 2))]
+    s = grids.astype(np.int64)
+    return grids[~((s @ s > 0) & ~grids).any(axis=(1, 2))]
+
+
+def poset_orders(max_n: int) -> list[FuzzyRelation]:
+    """``labeled_posets(n)`` for n = 1..max_n as 0/1 orders, labelled p1, p2, ..."""
+    return [
+        FuzzyRelation(tuple(f"p{i + 1}" for i in range(n)), grid.astype(float))
+        for n in range(1, max_n + 1)
+        for grid in labeled_posets(n)
+    ]
+
+
 def rescan_linearization(grid: np.ndarray, labels=None, orient=lambda i, j: (i, j)):
     """Reference pivot loop: pivot on the whole grid, then rescan the whole mask.
 

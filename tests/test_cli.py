@@ -397,6 +397,9 @@ def test_output_format_is_the_flag_else_the_input_format(tmp_path, capsys, name,
 @pytest.mark.parametrize("name, default", [
     ("gen", "the -o extension, else csv"),
     ("linearize", "input format"),
+    ("pivot", "input format"),
+    ("clamp", "input format"),
+    ("family", "input format"),
 ])
 def test_format_help_states_the_real_default(capsys, name, default):
     with pytest.raises(SystemExit):

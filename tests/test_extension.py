@@ -51,6 +51,7 @@ from genutil import (
     closure_linearization,
     corpus,
     low_rescan,
+    poset_orders,
     rescan_linearization,
     subnormal_regrade,
     tight_regrade,
@@ -287,15 +288,16 @@ def _random_flips(r, seed):
 
 def test_linearize_matches_the_closure_oracle(order3, order4, order7):
     """Pivots come from the 0/1 support alone, and the grid is r's max-min
-    closure with the pivots set to 1: bit for bit, on the goldens, the corpus
-    and the block sums up to n = 96, each also tight- and subnormal-regraded,
-    under "low" and "high"; all but the corpus orders also under a random
-    override list."""
+    closure with the pivots set to 1: bit for bit, on the goldens, the corpus,
+    every labeled poset up to n = 4 and the block sums up to n = 96, each also
+    tight- and subnormal-regraded, under "low" and "high"; the goldens and
+    block sums also under a random override list."""
     cases = [(o, True) for o in (order3, order4, order7, *block_sums()[:6])]
-    cases += [(o, False) for o in corpus(300, max_n=12)]
+    cases += [(o, False) for o in (*corpus(300, max_n=12), *poset_orders(4))]
     for o, flips in cases:
         policies = ["low", "high", _random_flips(o, o.n)[0]] if flips else ["low", "high"]
-        for r in (o, tight_regrade(o), subnormal_regrade(o)):
+        # a 0/1 order is its own regrade: each distinct relation once
+        for r in dict.fromkeys((o, tight_regrade(o), subnormal_regrade(o))):
             support = FuzzyRelation(r.labels, (r.grid > 0.0).astype(float))
             for policy in policies:
                 result = linearize(r, policy)

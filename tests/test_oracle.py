@@ -15,7 +15,7 @@ from fuzzorder import (
 )
 
 from conftest import identity_relation
-from genutil import corpus, corrupt, inf_reconstruction_probe
+from genutil import corpus, corrupt, inf_reconstruction_probe, labeled_posets
 
 
 # ---------------------------------------------------------------- brute
@@ -50,6 +50,17 @@ def test_brute_agrees_with_vectorized_check(order3, order4, order7, order7_linea
 
 
 # ---------------------------------------------------------------- generator
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 19), (4, 219)])
+def test_labeled_posets_are_every_partial_order(n, count):
+    """The counts of OEIS A001035; each grid is distinct and, as a 0/1
+    relation, a Zadeh order by the brute-force oracle."""
+    posets = labeled_posets(n)
+    assert posets.shape == (count, n, n)
+    assert len({p.tobytes() for p in posets}) == count
+    labels = tuple(f"p{i + 1}" for i in range(n))
+    assert all(brute_check_order(FuzzyRelation(labels, p.astype(float))) for p in posets)
 
 
 def test_spec_validation():

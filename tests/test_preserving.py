@@ -31,6 +31,7 @@ from genutil import (
     block_sums,
     corpus,
     drop_preserving_members,
+    poset_orders,
     reference_family,
     subnormal_regrade,
     tight_regrade,
@@ -251,6 +252,34 @@ BLOCK_SIZES = [(7, 7), (12, 8), (12, 12), (10, 10, 10), (12, 12, 12)]
 @pytest.mark.parametrize("sizes", BLOCK_SIZES)
 def test_family_matches_reference_on_block_sums(sizes, ordinal):
     _assert_matches_reference(block_sum(sizes, ordinal, densities=DENSITIES))
+
+
+def test_family_matches_reference_on_labeled_posets():
+    """Every partial order on up to 4 labeled points, as a 0/1 order."""
+    for r in poset_orders(4):
+        _assert_matches_reference(r)
+
+
+def _orienting_supports(r):
+    # Each orients(a,b) tag of r's family, mapped to its member's 0/1 support.
+    return {
+        tag: (member.relation.grid > 0.0).tobytes()
+        for member in certifying_family(r).members
+        for tag in member.tags
+        if tag.startswith("orients(")
+    }
+
+
+def test_orienting_members_are_determined_by_the_support(order3, order4, order7, order7_linear):
+    """Which pairs an orienting member pivots depends only on r's 0/1 support,
+    so its support is the member with the same tag in the family of r > 0:
+    on the goldens, the corpus and the 12-element block sums, each also
+    subnormal-regraded."""
+    orders = [order3, order4, order7, order7_linear, *corpus(300, max_n=12), *block_sums()[:2]]
+    for o in orders:
+        for r in (o, subnormal_regrade(o)):
+            support = FuzzyRelation(r.labels, (r.grid > 0.0).astype(float))
+            assert _orienting_supports(r) == _orienting_supports(support)
 
 
 def _shape(family):
