@@ -4,7 +4,8 @@ Exit code contract: 0 means success (the checked property holds), 1 means a
 semantic failure (axiom violations found, intersection mismatch, or an
 operation precondition that does not hold), 2 means a usage or input error
 (unknown command, missing file, malformed document, bad flag values) or an
-output error (stdout closed before the output was written).
+output error (stdout closed before the output was written, or an output
+encoding that cannot write a label of the output).
 
 :func:`run_command` is the one place that reads the input matrix and writes
 the output matrix; each handler only computes and fills the one report, and
@@ -247,10 +248,13 @@ def _read_family_dir(directory: Path, labels):
 
     def inside(name: str, where: str) -> Path:
         # The directory's file ``name``, resolved through any symlink; a
-        # ParseError positioned at ``where`` when it lies outside the directory.
+        # ParseError positioned at ``where`` when it lies outside the directory
+        # or is a directory itself.
         path = (root / name).resolve()
         if Path(name).is_absolute() or not path.is_relative_to(root):
             raise ParseError(f"{where}file {name!r} lies outside {directory}")
+        if path.is_dir():
+            raise ParseError(f"{where}file {name!r} is a directory")
         return path
 
     manifest = directory / "family.json"
@@ -333,15 +337,20 @@ def run_command(argv: list[str]) -> int:
         return 1 if isinstance(exc, PreconditionError) else 2
     report["timing"] = time.perf_counter() - started
 
-    if args.json:
-        print(json.dumps(report))
-    else:
-        document = report.get("output")
-        if document is not None:
-            sys.stdout.write(document)
-        stream = sys.stderr if document is not None else sys.stdout
-        for line in info:
-            print(line, file=stream)
+    try:
+        if args.json:
+            print(json.dumps(report))
+        else:
+            document = report.get("output")
+            if document is not None:
+                sys.stdout.write(document)
+            stream = sys.stderr if document is not None else sys.stdout
+            for line in info:
+                print(line, file=stream)
+    except UnicodeEncodeError as exc:
+        # An output error; replacing the characters would change the output.
+        print(f"error: cannot write the output in the {exc.encoding} encoding", file=sys.stderr)
+        return 2
     return code
 
 

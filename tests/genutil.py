@@ -242,13 +242,19 @@ def reference_family(r: FuzzyRelation) -> ExtensionFamily:
             ordered.append((s, f"orients({labels[a]},{labels[b]})"))
     base = _linear_grid(r.grid)
     for i, j in positives:
-        beta = r.grid[i, j]
-        s = base if base[i, j] == beta else np.where(r.grid > beta, base, np.minimum(beta, base))
+        s = reference_clamp(r.grid, base, i, j)
         ordered.append((FuzzyRelation(labels, s), f"preserves({labels[i]},{labels[j]})"))
     merged: dict[FuzzyRelation, list[str]] = {}
     for rel, tag in ordered:
         merged.setdefault(rel, []).append(tag)
     return ExtensionFamily(tuple(FamilyMember(rel, tuple(tags)) for rel, tags in merged.items()))
+
+
+def reference_clamp(grid: np.ndarray, base: np.ndarray, i: int, j: int) -> np.ndarray:
+    """The member preserving grid's grade beta at (i, j): ``base`` itself if it
+    keeps beta there, else base capped at beta wherever grid is at most beta."""
+    beta = grid[i, j]
+    return base if base[i, j] == beta else np.where(grid > beta, base, np.minimum(beta, base))
 
 
 def corrupt(r: FuzzyRelation, rng: np.random.Generator) -> FuzzyRelation:

@@ -120,6 +120,17 @@ def test_linearize_rejects_non_order(corrupted_file):
     assert run_command(["linearize", corrupted_file]) == 1
 
 
+@pytest.mark.parametrize("policy, k, raised", [("low", 2, 10), ("high", 4, 11)])
+def test_json_trace_steps_raise_their_own_pivot(capsys, policy, k, raised):
+    assert run_command(["linearize", ORDER7, "--trace", "--json", "--policy", policy]) == 0
+    trace = json.loads(capsys.readouterr().out)["trace"]
+    steps = trace["steps"]
+    assert (trace["k"], len(steps), sum(len(s["entries_raised"]) for s in steps)) == (k, k, raised)
+    for step in steps:
+        assert [[step["a"], step["b"]], 0, 1] in step["entries_raised"]
+        assert all(old < new for _, old, new in step["entries_raised"])
+
+
 # ---------------------------------------------------------------- pivot / clamp
 
 
@@ -130,9 +141,11 @@ def test_pivot_command_matches_library(capsys, order7):
     assert parse_matrix(capsys.readouterr().out) == pivot_extend(order7, "x1", "x2")
 
 
-def test_pivot_precondition_failure_exits_one():
-    # (a,c) is already comparable the other way
-    assert run_command(["pivot", ORDER3, "--a", "c", "--b", "a"]) == 1
+def test_pivot_precondition_failure_exits_one(capsys):
+    # (a,c) and (x1,x4) are already comparable the other way
+    for path, a, b, reverse in [(ORDER3, "c", "a", 0.4), (ORDER7, "x4", "x1", 0.55)]:
+        assert run_command(["pivot", path, "--a", a, "--b", b]) == 1
+        assert f"the reverse grade is {reverse}, not 0" in capsys.readouterr().err
 
 
 def test_pivot_unknown_label_exits_two():
@@ -222,7 +235,12 @@ def _family_dir(tmp_path, manifest, name="fam"):
 
 @pytest.mark.parametrize(
     "manifest, named",
-    [([1, 2], '"members" list'), ({"members": [{"file": 7}]}, "member 1")],
+    [
+        ([1, 2], '"members" list'),
+        ({"members": [{"file": 7}]}, "member 1"),
+        ({"members": [{"file": ""}]}, "member 1"),  # the family directory itself
+        ({"members": [{"file": "."}]}, "member 1"),
+    ],
 )
 def test_verify_malformed_manifest_exits_two(tmp_path, capsys, manifest, named):
     assert run_command(["verify", ORDER3, "--family", _family_dir(tmp_path, manifest)]) == 2
@@ -348,6 +366,25 @@ def test_gen_infers_json_from_output_path(tmp_path):
     assert set(payload) == {"elements", "matrix"}
 
 
+@pytest.mark.parametrize("argv, linear", [
+    (["linearize", str(FIXTURES / "order3.json"), "-o", "l3.csv"], "yes"),
+    (["linearize", ORDER7, "--format", "json", "-o", "l7.json"], "yes"),
+    (["pivot", ORDER7, "--a", "x1", "--b", "x2", "-o", "p7.csv"], "no"),
+    (["clamp", ORDER7, "--a", "x1", "--b", "x4", "--format", "json", "-o", "c7.json"], "yes"),
+    (["gen", "--n", "12", "--density", "0.5", "--seed", "7", "-o", "g.json"], "no"),
+], ids=["linearize-csv", "linearize-json", "pivot", "clamp", "gen"])
+def test_written_matrices_check_and_certify(tmp_path, monkeypatch, capsys, argv, linear):
+    """Each file a command writes is an order whose family, written out, verifies."""
+    monkeypatch.chdir(tmp_path)
+    out = argv[-1]
+    assert run_command(argv) == 0
+    capsys.readouterr()
+    assert run_command(["check", out]) == 0
+    assert f"linear: {linear}" in capsys.readouterr().out
+    assert run_command(["family", out, "-o", "fam"]) == 0
+    assert run_command(["verify", out, "--family", "fam"]) == 0
+
+
 def test_gen_bad_flags_exit_two():
     assert run_command(["gen", "--n", "0", "--density", "0.4", "--seed", "1"]) == 2
     assert run_command(["gen", "--n", "4", "--density", "2.0", "--seed", "1"]) == 2
@@ -427,17 +464,28 @@ def test_missing_file_exits_two():
     assert run_command(["check", "does-not-exist.csv"]) == 2
 
 
-def test_malformed_file_exits_two(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text(",a\na,1.5\n", encoding="utf-8")
-    assert run_command(["check", str(bad)]) == 2
+def test_malformed_file_exits_two(tmp_path, capsys):
+    for name, text, message in [
+        ("bad.csv", ",a\na,1.5\n", "value 1.5 outside [0, 1] (row 2, column 2)"),
+        ("short.csv", ",a,b\na,1,1.5\nb,0\n", "value 1.5 outside [0, 1] (row 2, column 3)"),
+        ("short.json", '{"elements":["a","b"],"matrix":[[1,2],[0]]}',
+         "value 2.0 outside [0, 1] (row 1, column 2)"),
+        ("object.json", '{"elements": ["a"], "matrix": {"a": [1]}}',
+         '"matrix" must be an array of rows'),
+    ]:
+        bad = _write(tmp_path / name, text)
+        assert run_command(["check", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def _run_module(args, **kwargs):
-    # ``python -m fuzzorder.cli *args`` in a new process, on this package.
+def _run_module(args, encoding=None, **kwargs):
+    # ``python -m fuzzorder.cli *args`` in a new process, on this package, with
+    # its standard streams in ``encoding`` when one is given.
     src = str(Path(fuzzorder.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
+    if encoding:
+        env["PYTHONIOENCODING"] = encoding
     return subprocess.run(
         [sys.executable, "-m", "fuzzorder.cli", *args], text=True, env=env, timeout=60, **kwargs
     )
@@ -448,6 +496,7 @@ def test_module_runs_as_a_script(corrupted_file):
     assert done.returncode == 1
     assert done.stdout.startswith("Zadeh fuzzy order: no; linear: ")
     assert "antisymmetry violated at {a,b}" in done.stdout
+    assert _run_module(["check", ORDER7], capture_output=True).returncode == 0
 
 
 @pytest.mark.parametrize("args", [["family", ORDER7, "--json"], ["linearize", ORDER7]])
@@ -460,9 +509,23 @@ def test_closed_stdout_exits_two_without_a_traceback(args):
         done = _run_module(args, stdout=write, stderr=subprocess.PIPE)
     finally:
         os.close(write)
+    _assert_output_error(done)
+
+
+def _assert_output_error(done):
     assert done.returncode == 2
     assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
     assert done.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", ["linearize", "family"])
+def test_unencodable_stdout_exits_two_without_a_traceback(tmp_path, name):
+    """A label that stdout's encoding cannot write is an output error; the
+    output is not written with the label replaced."""
+    matrix = _write(tmp_path / "u.csv", ",\u00e9,b\n\u00e9,1,0\nb,0,1\n")
+    done = _run_module([name, str(matrix)], encoding="ascii", capture_output=True)
+    _assert_output_error(done)
+    assert "ascii" in done.stderr
 
 
 def test_run_command_builds_one_parser_per_process(monkeypatch):
@@ -529,9 +592,14 @@ def test_json_verify_report(tmp_path, capsys):
 
 
 def test_json_family_report_counts_members_before_merging(capsys):
-    assert run_command(["family", ORDER7, "--json"]) == 0
-    family = json.loads(capsys.readouterr().out)["family"]
-    assert (family["built"], family["members"], family["certificates"]) == (25, 12, 25)
+    for name, counts in [("order3.json", (5, 4, 5)), ("order4.csv", (8, 6, 8)),
+                         ("order7.csv", (25, 12, 25))]:
+        assert run_command(["family", str(FIXTURES / name), "--json"]) == 0
+        family = json.loads(capsys.readouterr().out)["family"]
+        assert (family["built"], family["members"], family["certificates"]) == counts, name
+    # order7's tags, in member order
+    assert family["tags"][0][:2] == ["orients(x1,x2)", "orients(x4,x5)"]
+    assert family["tags"][1] == ["orients(x2,x1)"]
 
 
 def _report_text(argv, code, capsys):
@@ -550,6 +618,15 @@ def test_json_payloads_are_pinned_byte_for_byte(tmp_path, capsys):
         '"transitive": false, "linear": false}, '
         '"witnesses": {"reflexivity": [["a", 0.5]], "antisymmetry": [[["a", "b"], 0.3, 0.2]], '
         '"transitivity": [[["a", "b", "c"], 0.0, 0.3]], "incomparable_pairs": [["a", "c"]]}, '
+        '"trace": null, "family": null}'
+    )
+    # r(a,c) = 0 lies below min(r(a,b), r(b,c)) = 0.5, with every other axiom holding.
+    zero = _write(tmp_path / "zero3.csv", ",a,b,c\na,1,0.5,0\nb,0,1,0.5\nc,0,0,1\n")
+    assert _report_text(["check", str(zero)], 1, capsys) == (
+        '{"verdicts": {"zadeh_order": false, "reflexive": true, "antisymmetric": true, '
+        '"transitive": false, "linear": false}, '
+        '"witnesses": {"reflexivity": [], "antisymmetry": [], '
+        '"transitivity": [[["a", "b", "c"], 0.0, 0.5]], "incomparable_pairs": [["a", "c"]]}, '
         '"trace": null, "family": null}'
     )
     assert _report_text(["linearize", ORDER3, "--trace"], 0, capsys) == (

@@ -19,8 +19,16 @@ import numpy as np
 import pytest
 
 import fuzzorder
-from fuzzorder import FuzzyRelation, brute_check_order, certifying_family, check_order, linearize
+from fuzzorder import (
+    FuzzyRelation,
+    PreconditionError,
+    brute_check_order,
+    certifying_family,
+    check_order,
+    linearize,
+)
 from fuzzorder import extension, matrixio, preserving, relation
+from fuzzorder.extension import _linear_grid
 
 from conftest import (
     ORDER3_GRID,
@@ -33,9 +41,11 @@ from conftest import (
 )
 from genutil import (
     alpha_cut_is_order,
+    block_sum,
     block_sums,
     corpus,
     corrupt,
+    reference_clamp,
     reference_family,
     rescan_linearization,
     subnormal_regrade,
@@ -71,6 +81,11 @@ EXACTNESS_MUTANTS = [
         "rows = (h[:, a] > floor).nonzero()[0]",
         "rows = (h[:, a] > floor + 1e-12).nonzero()[0]",
     ),
+    ("relation", "(grid < 0.0).any()", "(grid < 0.0 - 1e-12).any()"),
+    ("relation", "(grid > 1.0).any()", "(grid > 1.0 + 1e-12).any()"),
+    ("extension", "r.grid[ib, ia] != 0.0", "r.grid[ib, ia] > 1e-12"),
+    ("preserving", "if base[i, j] == beta:", "if abs(base[i, j] - beta) <= 1e-12:"),
+    ("relation", "support & (g < 1.0)", "support & (g < 1.0 - 1e-12)"),
 ]
 
 PACKAGE = types.SimpleNamespace(
@@ -90,19 +105,17 @@ GOLDENS = [
 
 @functools.cache
 def tight_orders(regrade=tight_regrade):
-    # The goldens and every tenth corpus order, which span all sizes and
-    # densities, tight-regraded (or regraded by ``regrade``).
-    return [regrade(r) for r in GOLDENS + corpus(300, max_n=12)[::10]]
+    # The goldens, every tenth corpus order, which span all sizes and
+    # densities, and an ordinal sum of three blocks, whose grade-1 entries
+    # from the first block to the last are attained through the middle one;
+    # tight-regraded (or regraded by ``regrade``).
+    orders = GOLDENS + corpus(300, max_n=12)[::10] + [block_sum((2, 2, 2), ordinal=True)]
+    return [regrade(r) for r in orders]
 
 
 BELOW_ONE = np.nextafter(1.0, 0.0)
+ABOVE_ONE = np.nextafter(1.0, 2.0)
 LEAST_SUBNORMAL = 5e-324
-
-
-def _damaged(r, i, j, value):
-    g = np.array(r.grid)
-    g[i, j] = value
-    return FuzzyRelation(r.labels, g)
 
 
 def _transitivity_witnesses(r, triples):
@@ -140,7 +153,7 @@ def damage_problems(lib, r, seed):
     problems = []
     # A diagonal entry one ulp below 1 breaks reflexivity alone.
     i = int(rng.integers(n))
-    d = _damaged(r, i, i, BELOW_ONE)
+    d = r.with_value(i, i, BELOW_ONE)
     problems += _axiom_problems(lib, d, (((names[i], BELOW_ONE),), (), ()))
 
     # The least subnormal on the reverse of a positive pair (i, j) breaks
@@ -150,7 +163,7 @@ def damage_problems(lib, r, seed):
     pair = pick([(i, j) for i, j in np.argwhere(g > 0.0).tolist() if i != j])
     if pair is not None:
         i, j = pair
-        d = _damaged(r, j, i, LEAST_SUBNORMAL)
+        d = r.with_value(j, i, LEAST_SUBNORMAL)
         lo, hi = sorted(pair)
         anti = (((names[lo], names[hi]), float(d.grid[lo, hi]), float(d.grid[hi, lo])),)
         triples = [(j, i, z) for z in range(n) if g[i, z] > 0.0 and d.grid[j, z] == 0.0]
@@ -158,16 +171,17 @@ def damage_problems(lib, r, seed):
         problems += _axiom_problems(lib, d, ((), anti, _transitivity_witnesses(d, triples)))
 
     # An entry r(x, z) that some min(r(x, y), r(y, z)) attains, one ulp lower,
-    # breaks transitivity at exactly those y.
+    # breaks transitivity at exactly those y; so does such an entry of grade 1.
     def attained(x, z):
         return [y for y in range(n) if y not in (x, z) and min(g[x, y], g[y, z]) == g[x, z] > 0.0]
 
-    entry = pick([(x, z) for x in range(n) for z in range(n) if x != z and attained(x, z)])
-    if entry is not None:
-        x, z = entry
-        d = _damaged(r, x, z, np.nextafter(g[x, z], 0.0))
-        triples = [(x, y, z) for y in attained(x, z)]
-        problems += _axiom_problems(lib, d, ((), (), _transitivity_witnesses(d, triples)))
+    entries = [(x, z) for x in range(n) for z in range(n) if x != z and attained(x, z)]
+    for entry in (pick(entries), pick([(x, z) for x, z in entries if g[x, z] == 1.0])):
+        if entry is not None:
+            x, z = entry
+            d = r.with_value(x, z, np.nextafter(g[x, z], 0.0))
+            triples = [(x, y, z) for y in attained(x, z)]
+            problems += _axiom_problems(lib, d, ((), (), _transitivity_witnesses(d, triples)))
 
     # A family member one ulp below r where it equals r breaks the infimum
     # there, and only there.
@@ -176,7 +190,7 @@ def damage_problems(lib, r, seed):
     x, y = pick(np.argwhere((members[k] == g) & (g > 0.0)).tolist())
     lowered = np.nextafter(g[x, y], 0.0)
     family = [FuzzyRelation(names, m) for m in members]
-    family[k] = _damaged(family[k], x, y, lowered)
+    family[k] = family[k].with_value(x, y, lowered)
     verdict = lib.preserving.verify_intersection(r, family)
     want = (((names[x], names[y]), float(lowered), float(g[x, y])),)
     if verdict.passed or verdict.witnesses != want:
@@ -186,7 +200,7 @@ def damage_problems(lib, r, seed):
     hi = linearize(r).relation
     if not lib.relation.extends(r, hi):
         problems.append("extends rejected a linearization")
-    if lib.relation.extends(r, _damaged(hi, x, y, lowered)):
+    if lib.relation.extends(r, hi.with_value(x, y, lowered)):
         problems.append(f"extends accepted an extension one ulp below r at {(x, y)}")
     return problems
 
@@ -200,8 +214,15 @@ SUBNORMAL_JSON = '{"elements": ["a", "b"], "matrix": [[1, 5e-324], [0, 1]]}'
 
 
 def parse_problems(lib):
-    """What lib's parser gets wrong on grades one ulp outside and inside [0, 1]."""
+    """What lib's parser and constructor get wrong on grades one ulp outside
+    and inside [0, 1]."""
     problems = []
+    for grade in (-LEAST_SUBNORMAL, ABOVE_ONE):
+        try:
+            lib.relation.FuzzyRelation(("a", "b"), [[1.0, grade], [0.0, 1.0]])
+            problems.append(f"the constructor accepted the grade {grade!r}")
+        except ValueError:
+            pass
     for text, where in ((ABOVE_ONE_CSV, (2, 3)), (ABOVE_ONE_JSON, (1, 2))):
         try:
             lib.matrixio.parse_matrix(text)
@@ -232,14 +253,37 @@ def rescan_problems(lib, orders):
     return problems
 
 
+def clamp_problems(lib, orders):
+    """The positive pairs of the orders whose clamp by lib is not the
+    reference clamp of the order's linearization."""
+    problems = []
+    for r in orders:
+        base = _linear_grid(r.grid)
+        for i, j in np.argwhere(r.grid > 0.0).tolist():
+            if i == j:
+                continue
+            got = lib.preserving.clamp_extend(r, i, j).relation.grid
+            if got.tobytes() != reference_clamp(r.grid, base, i, j).tobytes():
+                problems.append(f"clamp of {r.labels} at {(i, j)} differs from the reference")
+    return problems
+
+
 def subnormal_problems(lib, orders):
     """The subnormal-regraded orders whose linearizations by lib differ from
     the rescan, or whose certifying family by lib differs from the reference.
 
     A pair test that takes two grades within an epsilon for equal finds the
-    least subnormal and 0 incomparable, and pivots a pair that is not."""
+    least subnormal and 0 incomparable, and pivots a pair that is not; a
+    pivot precondition that takes it for 0 pivots against it."""
     problems = rescan_problems(lib, orders)
     for r in orders:
+        for b, a in np.argwhere(r.grid == LEAST_SUBNORMAL).tolist():
+            try:
+                lib.extension.pivot_extend(r, a, b)
+                problems.append(f"pivoted {r.labels[a]} above {r.labels[b]} against 5e-324")
+            except PreconditionError as e:
+                if e.reason != "r(b,a)>0":
+                    problems.append(f"pivot against 5e-324 raised {e.reason!r}")
         got, want = lib.preserving.certifying_family(r), reference_family(r)
         if [(m.relation, m.tags) for m in got] != [(m.relation, m.tags) for m in want]:
             problems.append(f"certifying family of {r.labels} differs from the reference")
@@ -252,6 +296,7 @@ def probe(lib):
     for k, (r, s) in enumerate(zip(tight_orders(), tight_orders(subnormal_regrade))):
         yield from rescan_problems(lib, [r])
         yield from damage_problems(lib, r, seed=k)
+        yield from clamp_problems(lib, [r])
         yield from subnormal_problems(lib, [s])
 
 
@@ -268,6 +313,10 @@ def test_tight_orders_linearize_as_the_rescan_does():
     """Each probe finds nothing in the package, so what it finds in a mutant
     is the mutation's doing."""
     assert rescan_problems(PACKAGE, tight_orders()) == []
+
+
+def test_tight_orders_clamp_as_the_reference_does():
+    assert clamp_problems(PACKAGE, tight_orders()) == []
 
 
 def test_subnormal_orders_linearize_and_certify_as_the_references_do():
@@ -295,11 +344,11 @@ def _one_ulp_damages(r, rng):
     g = r.grid
     zeros, fractional = np.argwhere(g == 0.0), np.argwhere((g > 0.0) & (g < 1.0))
     i, j = zeros[rng.integers(len(zeros))]
-    yield _damaged(r, i, j, LEAST_SUBNORMAL)
+    yield r.with_value(i, j, LEAST_SUBNORMAL)
     i, j = fractional[rng.integers(len(fractional))]
-    yield _damaged(r, i, j, np.nextafter(g[i, j], 0.0))
+    yield r.with_value(i, j, np.nextafter(g[i, j], 0.0))
     i = rng.integers(r.n)
-    yield _damaged(r, i, i, BELOW_ONE)
+    yield r.with_value(i, i, BELOW_ONE)
 
 
 @pytest.mark.parametrize("k", range(len(block_sums())))

@@ -8,7 +8,8 @@ Three robustness claims are checked on generated input:
   order, round-trips bit-identically through CSV and JSON, as text and as a
   file;
 * ``run_command`` returns 0, 1 or 2 and never raises, for command lines
-  drawn from the seven commands and their flags and for fuzzed input files.
+  drawn from the seven commands and their flags, for fuzzed input files and
+  for a stdout that is UTF-8 or ASCII only.
 
 Example counts stay small so the suite stays quick; every run draws new
 examples, so coverage accumulates across runs.
@@ -38,7 +39,10 @@ from conftest import ORDER3_GRID, ORDER3_LABELS, ORDER7_GRID, ORDER7_LABELS
 
 ORDER3 = FuzzyRelation(ORDER3_LABELS, ORDER3_GRID)
 ORDER7 = FuzzyRelation(ORDER7_LABELS, ORDER7_GRID)
-VALID_DOCS = [emit_matrix(r, fmt) for r in (ORDER3, ORDER7) for fmt in ("csv", "json")]
+ACCENTED = FuzzyRelation(("a", "b", "\u00e7"), ORDER3_GRID)  # a label that ASCII cannot write
+VALID_DOCS = [
+    emit_matrix(r, fmt) for r in (ORDER3, ORDER7, ACCENTED) for fmt in ("csv", "json")
+]
 
 # Characters that make up matrix documents, so that drawn text often gets
 # past the first structural checks and reaches the deeper ones.
@@ -285,8 +289,10 @@ def test_run_command_exits_0_1_or_2_and_never_raises(tmp_path, data):
         target.write_text(text, encoding="utf-8", errors="surrogatepass")
     argv = data.draw(command_lines(tmp_path))
 
-    # Strict UTF-8 streams, as a terminal or pipe would have.
-    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2))
+    # Strict streams, as a terminal or pipe would have; stdout may be ASCII only.
+    encoding = data.draw(st.sampled_from(["utf-8", "ascii"]))
+    out = io.TextIOWrapper(io.BytesIO(), encoding=encoding)
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     with redirect_stdout(out), redirect_stderr(err):
         code = run_command(argv)
     assert code in (0, 1, 2)
