@@ -249,12 +249,15 @@ def _read_family_dir(directory: Path, labels):
     def inside(name: str, where: str) -> Path:
         # The directory's file ``name``, resolved through any symlink; a
         # ParseError positioned at ``where`` when it lies outside the directory
-        # or is a directory itself.
+        # or is not a regular file (reading a named pipe would block).
         path = (root / name).resolve()
         if Path(name).is_absolute() or not path.is_relative_to(root):
             raise ParseError(f"{where}file {name!r} lies outside {directory}")
         if path.is_dir():
             raise ParseError(f"{where}file {name!r} is a directory")
+        if not path.is_file():
+            problem = "is not a regular file" if path.exists() else "does not exist"
+            raise ParseError(f"{where}file {name!r} {problem}")
         return path
 
     manifest = directory / "family.json"

@@ -23,10 +23,13 @@ b has r(b, a) = 0.  So the run as a whole is one update
 
 and its pivots are the pairs still incomparable when reached: b is skipped
 iff r(a, b) > 0 or r(b, a) > 0 when the run starts, or an earlier pivot's
-bottom b' has r(b', b) > 0.  Every run of any length costs one update of
-only the columns y with max_t r(b_t, y) > r(a, y) and the rows x with
-r(x, a) > min_t r(x, b_t).  By max-min transitivity nothing else rises: in
-any other column,
+bottom b' has r(b', b) > 0.  So the keep rule reads: of the bottoms left
+free when the run starts, j is pivoted iff the first free bottom above j
+(the first j' in the run with r(j', j) > 0) is j itself.
+
+Every run of any length costs one update of only the columns y with
+max_t r(b_t, y) > r(a, y) and the rows x with r(x, a) > min_t r(x, b_t).
+By max-min transitivity nothing else rises: in any other column,
 
     min(r(x, a), max_t r(b_t, y)) <= min(r(x, a), r(a, y)) <= r(x, y),
 
@@ -188,9 +191,11 @@ def _runs(g, pairs, flips=None):
             # so a pivot at j' makes every later j with h[j', j] > 0
             # comparable to a: j is pivoted iff no earlier free j' does so
             # (by transitivity, one that was skipped would pass it on).
-            later = np.logical_or.accumulate(below[:, bottoms] > 0.0).diagonal(1)
-            keep = np.ones(len(bottoms), dtype=bool)
-            np.logical_not(later, out=keep[1:])
+            # h is an order grid and no pivot lowers an entry, so its
+            # diagonal stays 1: column t's first positive row is at most t,
+            # and it is t exactly when no earlier free bottom sits above
+            # bottom t.  argmax on bools returns the first True.
+            keep = (below[:, bottoms] > 0.0).argmax(axis=0) == np.arange(len(bottoms))
             bottoms, below = bottoms[keep], below[keep]
         if len(bottoms) == 1:
             top, floor = below[0], h[:, bottoms[0]]

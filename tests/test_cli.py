@@ -240,6 +240,7 @@ def _family_dir(tmp_path, manifest, name="fam"):
         ({"members": [{"file": 7}]}, "member 1"),
         ({"members": [{"file": ""}]}, "member 1"),  # the family directory itself
         ({"members": [{"file": "."}]}, "member 1"),
+        ({"members": [{"file": "nope.csv"}]}, "member 1 file 'nope.csv' does not exist"),
     ],
 )
 def test_verify_malformed_manifest_exits_two(tmp_path, capsys, manifest, named):
@@ -341,6 +342,23 @@ def test_verify_symlinks_inside_the_directory_are_read(tmp_path):
     _write(fam_dir / "listing.json", json.dumps({"members": [{"file": "m.csv"}]}))
     (fam_dir / "family.json").symlink_to("listing.json")
     assert run_command(["verify", ORDER3, "--family", str(fam_dir)]) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+@pytest.mark.parametrize("listed", [True, False], ids=["manifest", "directory"])
+def test_verify_named_pipe_member_exits_two_without_blocking(tmp_path, listed):
+    """Opening a named pipe blocks until a writer comes, so a member must be
+    a regular file.  The child is killed, and the test fails, if it blocks."""
+    fam_dir = tmp_path / "fam"
+    fam_dir.mkdir()
+    os.mkfifo(fam_dir / "p.csv")
+    if listed:
+        _write(fam_dir / "family.json", json.dumps({"members": [{"file": "p.csv"}]}))
+    args = ["verify", ORDER3, "--family", str(fam_dir)]
+    done = _run_module(args, capture_output=True, timeout=10)
+    where = f"{fam_dir / 'family.json'}: member 1 " if listed else f"{fam_dir}: "
+    assert done.returncode == 2
+    assert done.stderr == f"error: {where}file 'p.csv' is not a regular file\n"
 
 
 # ---------------------------------------------------------------- gen
@@ -478,7 +496,7 @@ def test_malformed_file_exits_two(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def _run_module(args, encoding=None, **kwargs):
+def _run_module(args, encoding=None, timeout=60, **kwargs):
     # ``python -m fuzzorder.cli *args`` in a new process, on this package, with
     # its standard streams in ``encoding`` when one is given.
     src = str(Path(fuzzorder.__file__).resolve().parent.parent)
@@ -487,7 +505,7 @@ def _run_module(args, encoding=None, **kwargs):
     if encoding:
         env["PYTHONIOENCODING"] = encoding
     return subprocess.run(
-        [sys.executable, "-m", "fuzzorder.cli", *args], text=True, env=env, timeout=60, **kwargs
+        [sys.executable, "-m", "fuzzorder.cli", *args], text=True, env=env, timeout=timeout, **kwargs
     )
 
 

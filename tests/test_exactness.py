@@ -86,6 +86,11 @@ EXACTNESS_MUTANTS = [
     ("extension", "r.grid[ib, ia] != 0.0", "r.grid[ib, ia] > 1e-12"),
     ("preserving", "if base[i, j] == beta:", "if abs(base[i, j] - beta) <= 1e-12:"),
     ("relation", "support & (g < 1.0)", "support & (g < 1.0 - 1e-12)"),
+    (
+        "extension",
+        "(below[:, bottoms] > 0.0).argmax(axis=0)",
+        "(below[:, bottoms] > 1e-12).argmax(axis=0)",
+    ),
 ]
 
 PACKAGE = types.SimpleNamespace(

@@ -386,6 +386,26 @@ def test_linearize_matches_rescan_on_the_largest_block_sums(ordinal):
     _assert_matches_rescan(block_sum((12,) * 16, ordinal))
 
 
+@pytest.mark.parametrize("sizes", [(1,) * 40, (3,) * 16], ids=["antichain", "triples"])
+def test_linearize_matches_both_references_on_the_longest_runs(sizes):
+    """An antichain's first run has n - 1 free bottoms and pivots them all,
+    under "low" and "high" alike: the keep rule's widest case.  The grid and
+    trace match the rescan and the closure oracle under "low", "high" and
+    an override list, also tight- and subnormal-regraded."""
+    o = block_sum(sizes)
+    if len(sizes) == o.n:  # the antichain
+        for policy, orient in _policies(o)[:2]:
+            first = [(s.a.index, s.b.index) for s in linearize(o, policy).trace[: o.n - 1]]
+            assert first == [orient(0, j) for j in range(1, o.n)]
+    for r in dict.fromkeys((o, tight_regrade(o), subnormal_regrade(o))):
+        for policy, orient in _policies(r):
+            _assert_policy_matches_rescan(r, policy, orient)
+            grid, pivots = closure_linearization(r, policy)
+            result = linearize(r, policy)
+            assert [(s.a.index, s.b.index) for s in result.trace] == pivots
+            assert result.relation.grid.tobytes() == grid.tobytes()
+
+
 def test_runs_batch_the_pivots_of_a_disjoint_sum():
     """One grid update per cursor run: at most n - 1 of them for hundreds of pivots."""
     r = block_sum((12,) * 8, seed=500)

@@ -8,8 +8,9 @@ Three robustness claims are checked on generated input:
   order, round-trips bit-identically through CSV and JSON, as text and as a
   file;
 * ``run_command`` returns 0, 1 or 2 and never raises, for command lines
-  drawn from the seven commands and their flags, for fuzzed input files and
-  for a stdout that is UTF-8 or ASCII only.
+  drawn from the seven commands and their flags (about half of them well
+  formed, so that they reach the handlers), for fuzzed input files and for a
+  stdout that is UTF-8 or ASCII only.
 
 Example counts stay small so the suite stays quick; every run draws new
 examples, so coverage accumulates across runs.
@@ -33,6 +34,8 @@ from fuzzorder import (
     save_matrix,
 )
 from fuzzorder.cli import run_command
+from fuzzorder.extension import POLICIES
+from fuzzorder.matrixio import FORMATS
 
 from genutil import reference_parse_matrix
 from conftest import ORDER3_GRID, ORDER3_LABELS, ORDER7_GRID, ORDER7_LABELS
@@ -261,6 +264,34 @@ def command_lines(draw, directory):
     return argv
 
 
+@st.composite
+def well_formed_lines(draw, directory):
+    """A command, its input file, its required flags and some of its optional
+    ones: lines that argparse accepts, so that they reach the handlers."""
+    path = lambda name: str(directory / name)
+    pick = lambda flag, values: [flag, draw(st.sampled_from(values))]
+    name = draw(st.sampled_from(COMMANDS))
+    if name == "gen":
+        argv = [name, *pick("--n", ["1", "3", "12"]), *pick("--density", ["0", "0.5", "1"]),
+                *pick("--seed", ["0", "7"])]
+    else:
+        argv = [name, path(draw(st.sampled_from(["in.csv", "in.json"])))]
+    if name in ("pivot", "clamp"):
+        argv += pick("--a", LABELS) + pick("--b", LABELS)
+    if name == "verify":
+        argv += ["--family", path("family")]
+    optional = [["--json"]]
+    if name == "linearize":
+        optional += [["--trace"], pick("--policy", POLICIES)]
+    if name not in ("check", "verify"):
+        outputs = ["out"] if name == "family" else ["out.csv", "out.json"]
+        optional += [pick("-o", [path(p) for p in outputs]), pick("--format", FORMATS)]
+    for group in optional:
+        if draw(st.booleans()):
+            argv += group
+    return argv
+
+
 def manifests(directory):
     """family.json texts; the absolute entry names a file outside the family directory."""
     entries = ["member_000.csv", "../in.csv", str(directory / "in.csv"), "", "."]
@@ -277,9 +308,10 @@ def manifests(directory):
 )
 @given(data=st.data())
 def test_run_command_exits_0_1_or_2_and_never_raises(tmp_path, data):
+    inputs = st.sampled_from(VALID_DOCS) | documents  # about half of them valid
     files = {
-        "in.csv": data.draw(documents),
-        "in.json": data.draw(documents),
+        "in.csv": data.draw(inputs),
+        "in.json": data.draw(inputs),
         "family/member_000.csv": data.draw(documents),
         "family/family.json": data.draw(manifests(tmp_path)),
     }
@@ -287,7 +319,7 @@ def test_run_command_exits_0_1_or_2_and_never_raises(tmp_path, data):
         target = tmp_path / name
         target.parent.mkdir(exist_ok=True)
         target.write_text(text, encoding="utf-8", errors="surrogatepass")
-    argv = data.draw(command_lines(tmp_path))
+    argv = data.draw(well_formed_lines(tmp_path) | command_lines(tmp_path))
 
     # Strict streams, as a terminal or pipe would have; stdout may be ASCII only.
     encoding = data.draw(st.sampled_from(["utf-8", "ascii"]))
