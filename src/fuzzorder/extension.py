@@ -27,31 +27,33 @@ bottom b' has r(b', b) > 0.  So the keep rule reads: of the bottoms left
 free when the run starts, j is pivoted iff the first free bottom above j
 (the first j' in the run with r(j', j) > 0) is j itself.
 
-Every run of any length costs one update of only the columns y with
-max_t r(b_t, y) > r(a, y) and the rows x with r(x, a) > min_t r(x, b_t).
-By max-min transitivity nothing else rises: in any other column,
-
-    min(r(x, a), max_t r(b_t, y)) <= min(r(x, a), r(a, y)) <= r(x, y),
-
-and in any other row r(x, a) <= r(x, b_t) for every t, so for every y
+Every run of any length costs one update of only the rows x with
+r(x, a) > min_t r(x, b_t), each as a whole row: every grade of such a row
+becomes the max of itself and min(r(x, a), max_t r(b_t, y)), so a grade that
+cannot rise keeps its own value (max is exact).  By max-min transitivity no
+other row rises: in any other row r(x, a) <= r(x, b_t) for every t, so for
+every y
 
     r(x, y) >= min(r(x, b_t), r(b_t, y)) >= min(r(x, a), r(b_t, y))
 
 for each t.
 
-The trace keeps only the pivots.  Its steps share one slot, a one-item list
-holding the call that replays every pivot on a copy of the input grid, one
-at a time and with the same update.  The first read of any step's
-``entries_raised`` puts every step's tuple in the call's place (a caller who
-reads one step's entries tends to read them all), which releases the input.
-Reading only k, m and the pivots never pays for them.  Steps may be read
-from several threads at once.
+The trace keeps only the pivots.  Its steps share one slot, a list holding
+the call that replays every pivot on a copy of the input grid, one at a time
+and with the same update.  The first read of any step's ``entries_raised``
+appends every step's tuple to it and drops the call (a caller who reads one
+step's entries tends to read them all), which releases the input.  Reading
+only k, m and the pivots never pays for them.  Steps may be read from
+several threads at once.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Iterable, Union
 
 import numpy as np
@@ -87,6 +89,8 @@ class PivotStep:
     :func:`linearize` builds them on first read (see the module docstring).
     """
 
+    __slots__ = ("a", "b", "step_index", "entries_raised", "_replay")
+
     a: Element
     b: Element
     step_index: int
@@ -96,29 +100,51 @@ class PivotStep:
     def _replayed(cls, r, tops, bottoms) -> tuple["PivotStep", ...]:
         # The steps putting tops[t] above bottoms[t], t = 0, 1, ..., in a
         # linearization of r, without entries_raised and sharing one slot.
-        slot, elems, steps = [partial(_replay_steps, r, tops, bottoms)], r.elements, []
-        for k, (a, b) in enumerate(zip(tops, bottoms), start=1):
-            steps.append(object.__new__(cls))
-            steps[-1].__dict__.update(a=elems[a], b=elems[b], step_index=k, _replay=slot)
+        # Each field is set on all steps by one map of its __slots__ setter.
+        steps, elems = list(map(object.__new__, repeat(cls, len(tops)))), r.elements
+        for name, values in (
+            ("a", map(elems.__getitem__, tops)),
+            ("b", map(elems.__getitem__, bottoms)),
+            ("step_index", range(1, len(tops) + 1)),
+            ("_replay", repeat([partial(_replay_steps, r, tops, bottoms)])),
+        ):
+            deque(map(getattr(cls, name).__set__, steps, values), maxlen=0)
         return tuple(steps)
 
     def __getattr__(self, name):
-        # Reached only for an attribute not yet set: the entries_raised of a
-        # step made by _replayed.  The first reader of any step runs the
-        # slot's call and puts its result there; every reader of this step
-        # then gets the first tuple stored, which is stored before the slot
-        # is dropped, so a concurrent reader finds one or the other.
-        fields = self.__dict__
-        slot = fields.get("_replay") if name == "entries_raised" else None
-        if slot is not None:
-            steps = slot[0]
-            if callable(steps):
-                steps = slot[0] = steps()
-            fields.setdefault(name, steps[self.step_index - 1])
-            fields.pop("_replay", None)
-        if name in fields:
-            return fields[name]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        # Reached only for a slot not yet set: the entries_raised of a step
+        # made by _replayed.  The first reader of any step runs the slot's
+        # call, appends its result and drops the call; concurrent first
+        # readers may each append one, and every reader takes the first.
+        # This step then keeps its own tuple and no slot.
+        if name != "entries_raised":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        try:
+            slot = self._replay
+        except AttributeError:  # another reader has just read this step
+            return object.__getattribute__(self, name)
+        call = slot[0]  # before the length: once a result is appended, the call goes
+        if len(slot) == 1:
+            slot.append(call())
+            slot[0] = None
+        entries = slot[1][self.step_index - 1]
+        object.__setattr__(self, name, entries)
+        with suppress(AttributeError):
+            object.__delattr__(self, "_replay")
+        return entries
+
+    def __getstate__(self):
+        # The slots that are set: an unread step carries its trace's slot, a
+        # read step only its own entries.
+        state = {}
+        for name in self.__slots__:
+            with suppress(AttributeError):
+                state[name] = object.__getattribute__(self, name)
+        return state
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -210,16 +236,17 @@ def _raise_block(h, a, top, floor):
     # h[x, y] = max(h[x, y], min(h[x, a], top[y])) in place on the order grid
     # h: the pivot of a above b when top = h[b] and floor = h[:, b], or a run
     # of such pivots when top is the max of their bottoms' rows and floor the
-    # min of their bottoms' columns.  Writes only the rows and columns that
-    # can rise (see the module docstring) and returns them with their block
-    # of old and new grades.
+    # min of their bottoms' columns.  Writes only the rows that can rise, and
+    # each of them whole: a row x with h[x, a] <= floor[x] is left as it is,
+    # since h[x, a] <= h[x, b] for every bottom b, so by max-min transitivity
+    # h[x, y] >= min(h[x, b], h[b, y]) >= min(h[x, a], h[b, y]) at every y.
+    # A grade of a written row that cannot rise gets its own value back.
+    # Returns the rows with their old and new grades.
     rows = (h[:, a] > floor).nonzero()[0]
-    cols = (top > h[a]).nonzero()[0]
-    at = rows[:, None]
-    old = h[at, cols]
-    new = np.minimum.outer(h[rows, a], top[cols])
-    h[at, cols] = np.maximum(new, old, out=new)
-    return rows, cols, old, new
+    old = h[rows]
+    new = np.minimum.outer(old[:, a], top)
+    h[rows] = np.maximum(new, old, out=new)
+    return rows, old, new
 
 
 def _linear_grid(grid: np.ndarray) -> np.ndarray:
@@ -233,14 +260,14 @@ def _linear_grid(grid: np.ndarray) -> np.ndarray:
 def _replay_steps(r: FuzzyRelation, tops, bottoms) -> list:
     # The entries_raised of each pivot tops[t] above bottoms[t] of a
     # linearization of r, one tuple per pivot, built from that pivot's raised
-    # block as the pivots are applied in turn to a copy of r's grid g.
+    # rows as the pivots are applied in turn to a copy of r's grid g.
     g = np.array(r.grid)
     names = np.array(r.labels, dtype=object)
     steps = []
     for a, b in zip(tops, bottoms):
-        rows, cols, old, new = _raise_block(g, a, g[b], g[:, b])
+        rows, old, new = _raise_block(g, a, g[b], g[:, b])
         xs, ys = (new > old).nonzero()
-        xl, yl = names[[rows[xs], cols[ys]]].tolist()
+        xl, yl = names[[rows[xs], ys]].tolist()
         steps.append(tuple(zip(zip(xl, yl), old[xs, ys].tolist(), new[xs, ys].tolist())))
     return steps
 

@@ -182,12 +182,17 @@ class FuzzyRelation:
             raise ValueError("grades must lie in the closed interval [0, 1]")
         self._freeze(labels, grid)
 
-    def _freeze(self, labels, grid, pos=None):
-        # Adopts ``grid`` as it is, read-only from now on.
+    def _freeze(self, labels, grid, carrier=None):
+        # Adopts ``grid`` as it is, read-only from now on.  ``carrier`` is the
+        # (label index, Elements slot) pair of a relation on the same labels,
+        # which this one then shares; the slot is a list that holds the
+        # carrier's Elements once they are first read.
         grid.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "_pos", pos or {lbl: i for i, lbl in enumerate(labels)})
+        pos, elements = carrier or ({lbl: i for i, lbl in enumerate(labels)}, [])
+        object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "_elements", elements)
         # The order verdict of the last check of this relation (None: none
         # yet); see check_order.
         object.__setattr__(self, "_is_order", None)
@@ -205,7 +210,7 @@ class FuzzyRelation:
         # is copied once, with -0.0 made +0.0.
         s = object.__new__(cls)
         if isinstance(carrier, FuzzyRelation):
-            return s._freeze(carrier.labels, grid, carrier._pos)
+            return s._freeze(carrier.labels, grid, (carrier._pos, carrier._elements))
         return s._freeze(carrier, grid + 0.0)
 
     # -- carrier ----------------------------------------------------------
@@ -216,7 +221,9 @@ class FuzzyRelation:
 
     @property
     def elements(self) -> tuple[Element, ...]:
-        return tuple(Element(lbl, i) for i, lbl in enumerate(self.labels))
+        if not self._elements:
+            self._elements.append(tuple(map(Element, self.labels, range(self.n))))
+        return self._elements[0]
 
     def index_of(self, x: ElementLike) -> int:
         """Resolve an element reference (Element, label, or index) to its index."""

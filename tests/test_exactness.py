@@ -53,45 +53,46 @@ from genutil import (
 )
 
 # One-line mutants that each loosen one exact comparison in src/ by an
-# epsilon: (module, exact source text, replacement).  A new exact comparison
-# joins this list with a probe below that flags its loosening.
-EXACTNESS_MUTANTS = [
-    ("relation", "bad = via > row", "bad = via > row + 1e-12"),
-    ("relation", "pos = r.grid > 0.0", "pos = r.grid > 1e-12"),
-    ("relation", "np.flatnonzero(diag != 1.0)", "np.flatnonzero(diag < 1.0 - 1e-12)"),
-    ("relation", "(lo.grid <= hi.grid).all()", "(lo.grid <= hi.grid + 1e-12).all()"),
-    ("preserving", "np.argwhere(inf.grid != r.grid)", "np.argwhere(~np.isclose(inf.grid, r.grid))"),
-    ("extension", "cols = (top > h[a]).nonzero()[0]", "cols = (top > h[a] + 1e-12).nonzero()[0]"),
-    ("extension", "xs, ys = (new > old).nonzero()", "xs, ys = (new > old + 1e-12).nonzero()"),
-    ("matrixio", "bad = ~((grid >= 0.0) & (grid <= 1.0))", "bad = ~((grid >= 0.0) & (grid <= 1.0 + 1e-12))"),
-    ("relation", "bound > g[x, z]", "bound > g[x, z] + 1e-12"),
-    ("relation", "support = g > 0.0", "support = g > 1e-12"),
-    (
+# epsilon, by number: (module, exact source text, replacement).  A new exact
+# comparison joins with the next number and a probe below that flags its
+# loosening.  A mutant whose source text is gone leaves, and its number is
+# not reused, so every other mutant keeps its test ID.
+EXACTNESS_MUTANTS = {
+    0: ("relation", "bad = via > row", "bad = via > row + 1e-12"),
+    1: ("relation", "pos = r.grid > 0.0", "pos = r.grid > 1e-12"),
+    2: ("relation", "np.flatnonzero(diag != 1.0)", "np.flatnonzero(diag < 1.0 - 1e-12)"),
+    3: ("relation", "(lo.grid <= hi.grid).all()", "(lo.grid <= hi.grid + 1e-12).all()"),
+    4: ("preserving", "np.argwhere(inf.grid != r.grid)", "np.argwhere(~np.isclose(inf.grid, r.grid))"),
+    6: ("extension", "xs, ys = (new > old).nonzero()", "xs, ys = (new > old + 1e-12).nonzero()"),
+    7: ("matrixio", "bad = ~((grid >= 0.0) & (grid <= 1.0))", "bad = ~((grid >= 0.0) & (grid <= 1.0 + 1e-12))"),
+    8: ("relation", "bound > g[x, z]", "bound > g[x, z] + 1e-12"),
+    9: ("relation", "support = g > 0.0", "support = g > 1e-12"),
+    10: (
         "extension",
         "h[a, bottoms] == col[bottoms]",
         "np.isclose(h[a, bottoms], col[bottoms], rtol=0.0, atol=1e-12)",
     ),
-    (
+    11: (
         "preserving",
         "np.unique(r.grid, return_inverse=True)",
         "np.unique(np.round(r.grid, 12), return_inverse=True)",
     ),
-    (
+    12: (
         "extension",
         "rows = (h[:, a] > floor).nonzero()[0]",
         "rows = (h[:, a] > floor + 1e-12).nonzero()[0]",
     ),
-    ("relation", "(grid < 0.0).any()", "(grid < 0.0 - 1e-12).any()"),
-    ("relation", "(grid > 1.0).any()", "(grid > 1.0 + 1e-12).any()"),
-    ("extension", "r.grid[ib, ia] != 0.0", "r.grid[ib, ia] > 1e-12"),
-    ("preserving", "if base[i, j] == beta:", "if abs(base[i, j] - beta) <= 1e-12:"),
-    ("relation", "support & (g < 1.0)", "support & (g < 1.0 - 1e-12)"),
-    (
+    13: ("relation", "(grid < 0.0).any()", "(grid < 0.0 - 1e-12).any()"),
+    14: ("relation", "(grid > 1.0).any()", "(grid > 1.0 + 1e-12).any()"),
+    15: ("extension", "r.grid[ib, ia] != 0.0", "r.grid[ib, ia] > 1e-12"),
+    16: ("preserving", "if base[i, j] == beta:", "if abs(base[i, j] - beta) <= 1e-12:"),
+    17: ("relation", "support & (g < 1.0)", "support & (g < 1.0 - 1e-12)"),
+    18: (
         "extension",
         "(below[:, bottoms] > 0.0).argmax(axis=0)",
         "(below[:, bottoms] > 1e-12).argmax(axis=0)",
     ),
-]
+}
 
 PACKAGE = types.SimpleNamespace(
     relation=relation, extension=extension, preserving=preserving, matrixio=matrixio
@@ -388,8 +389,8 @@ def _mutant(monkeypatch, name, text, replacement):
 
 @pytest.mark.parametrize(
     "name, text, replacement",
-    EXACTNESS_MUTANTS,
-    ids=[f"{name}-{k}" for k, (name, _, _) in enumerate(EXACTNESS_MUTANTS)],
+    list(EXACTNESS_MUTANTS.values()),
+    ids=[f"{name}-{k}" for k, (name, _, _) in EXACTNESS_MUTANTS.items()],
 )
 def test_probes_flag_every_exactness_mutant(monkeypatch, name, text, replacement):
     lib = types.SimpleNamespace(**vars(PACKAGE))

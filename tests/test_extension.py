@@ -428,15 +428,15 @@ def test_linear_grid_matches_rescan_on_order7_orienting_grids(order7):
 def _assert_raise_block_is_the_pivot(g, pivots):
     # _raise_block(h, a, g[b], g[:, b]) on a copy h of the grid g, for each
     # legal pivot (a, b) listed: g[b, a] = 0, so a != b.  It must leave h
-    # equal to _pivot_grid(g, a, b) bit for bit; putting its block of old
-    # grades back must then give g again, so every row and column that the
-    # whole-grid pivot changes is among those it returned.
+    # equal to _pivot_grid(g, a, b) bit for bit; putting its old rows back
+    # must then give g again, so every row that the whole-grid pivot changes
+    # is among those it returned.
     h, pivoted = np.array(g), np.empty_like(g)
     for a, b in pivots:
-        rows, cols, old, _ = _raise_block(h, a, g[b], g[:, b])
+        rows, old, _ = _raise_block(h, a, g[b], g[:, b])
         _pivot_grid(g, a, b, out=pivoted)
         assert np.array_equal(h.view(np.int64), pivoted.view(np.int64)), (a, b)
-        h[rows[:, None], cols] = old
+        h[rows] = old
         assert np.array_equal(h.view(np.int64), g.view(np.int64)), (a, b)
 
 
@@ -472,10 +472,13 @@ class _TraceReplayed(Exception):
     pass
 
 
+def _refuse(*inputs):
+    # A module-level function, so that a trace whose slot holds it pickles.
+    raise _TraceReplayed
+
+
 def _refuse_replay(monkeypatch):
-    def refuse(*inputs):
-        raise _TraceReplayed
-    monkeypatch.setattr(extension, "_replay_steps", refuse)
+    monkeypatch.setattr(extension, "_replay_steps", _refuse)
 
 
 def test_entries_raised_is_built_once_and_kept():
@@ -515,11 +518,27 @@ def test_steps_built_on_read_keep_the_dataclass_protocol():
         assert clone(linearize(r).trace[0]) == eager
         for s, expected in zip(read, steps):  # a read step carries no slot
             copied = clone(s)
-            assert "_replay" not in copied.__dict__
+            assert not hasattr(copied, "_replay")
             assert copied == expected and repr(copied) == repr(expected)
             assert hash(copied) == hash(expected)
     with pytest.raises(AttributeError):
         step.pivot
+
+
+def test_pickling_an_unread_trace_runs_no_replay(monkeypatch):
+    """A pickled unread trace carries its one slot, unrun, and reads as the eager steps."""
+    r = block_sum((5, 7), seed=500)
+    eager = [PivotStep(s.a, s.b, s.step_index, s.entries_raised) for s in linearize(r).trace]
+    with monkeypatch.context() as patched:
+        _refuse_replay(patched)
+        copied = pickle.loads(pickle.dumps(linearize(r).trace))
+        assert [(s.a, s.b, s.step_index) for s in copied] == [(s.a, s.b, s.step_index) for s in eager]
+        with pytest.raises(_TraceReplayed):
+            copied[0].entries_raised
+    copied = pickle.loads(pickle.dumps(linearize(r).trace))
+    assert all(s._replay is copied[0]._replay for s in copied)
+    assert list(copied) == eager
+    assert not any(hasattr(s, "_replay") for s in copied)
 
 
 @pytest.mark.parametrize("steps", [(0, 0), (0, -1)], ids=["same-step", "two-steps"])
@@ -579,6 +598,21 @@ def test_replay_peak_stays_near_the_entries_it_keeps():
         tracemalloc.stop()
     assert sum(len(step.entries_raised) for step in result.trace) == 29635
     assert peak < 1.5 * held, (peak, held)
+
+
+def test_unread_steps_hold_few_bytes_each():
+    """An unread trace holds its steps in slots, its pivots and one replay call."""
+    r = block_sum((12,) * 16)  # the n = 192 disjoint sum
+    linearize(r)  # builds anything that r keeps
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = linearize(r)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result.k == 3964
+    assert held / result.k < 280, held / result.k
 
 
 def test_reading_only_k_m_and_pivots_builds_no_entry_tuple(monkeypatch, order7):

@@ -9,8 +9,9 @@ Three robustness claims are checked on generated input:
   file;
 * ``run_command`` returns 0, 1 or 2 and never raises, for command lines
   drawn from the seven commands and their flags (about half of them well
-  formed, so that they reach the handlers), for fuzzed input files and for a
-  stdout that is UTF-8 or ASCII only.
+  formed, so that they reach the handlers), for fuzzed input files (orders,
+  a parseable non-order and damaged text) and for a stdout that is UTF-8 or
+  ASCII only.
 
 Example counts stay small so the suite stays quick; every run draws new
 examples, so coverage accumulates across runs.
@@ -46,6 +47,9 @@ ACCENTED = FuzzyRelation(("a", "b", "\u00e7"), ORDER3_GRID)  # a label that ASCI
 VALID_DOCS = [
     emit_matrix(r, fmt) for r in (ORDER3, ORDER7, ACCENTED) for fmt in ("csv", "json")
 ]
+# A document that parses but is no order (r(a, c) and r(c, a) are both
+# positive), so that the commands that need an order reach their exit 1.
+NON_ORDER_DOCS = [emit_matrix(ORDER3.with_value("c", "a", 0.2), fmt) for fmt in ("csv", "json")]
 
 # Characters that make up matrix documents, so that drawn text often gets
 # past the first structural checks and reaches the deeper ones.
@@ -308,7 +312,7 @@ def manifests(directory):
 )
 @given(data=st.data())
 def test_run_command_exits_0_1_or_2_and_never_raises(tmp_path, data):
-    inputs = st.sampled_from(VALID_DOCS) | documents  # about half of them valid
+    inputs = st.sampled_from(VALID_DOCS + NON_ORDER_DOCS) | documents  # about half parse
     files = {
         "in.csv": data.draw(inputs),
         "in.json": data.draw(inputs),

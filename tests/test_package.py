@@ -1,4 +1,8 @@
-"""The package's public surface: each name is declared once, in its module."""
+"""The package's public surface: each name is declared once, in its module,
+and every source file keeps to the oldest supported Python's syntax."""
+
+import ast
+from pathlib import Path
 
 import fuzzorder
 from fuzzorder import extension, matrixio, oracle, preserving, relation
@@ -28,3 +32,13 @@ def test_the_cli_reads_formats_and_policies_from_the_library():
     assert all(c is matrixio.FORMATS for _, c in choices["format"])
     [(name, policies)] = choices["policy"]
     assert name == "linearize" and policies is extension.POLICIES
+
+
+def test_every_source_file_parses_as_python_3_10():
+    """pyproject.toml's floor is 3.10: no file of the package, its tests,
+    benchmark or demos uses later syntax (such as ``except*``)."""
+    root = Path(__file__).resolve().parent.parent
+    files = [path for top in ("src", "tests", "bench", "demos") for path in (root / top).rglob("*.py")]
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

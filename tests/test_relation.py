@@ -124,6 +124,16 @@ def test_element_lookup(order7):
         order7.index_of(7)
 
 
+def test_relations_on_one_carrier_share_its_elements(order7):
+    """The Elements are built once per carrier, and derived relations share them."""
+    elements = order7.elements
+    assert elements == tuple(order7.element(i) for i in range(order7.n))
+    assert order7.elements is elements
+    derived = (pivot_extend(order7, "x1", "x2"), linearize(order7).relation, pointwise_inf([order7]))
+    assert all(r.elements is elements for r in derived)
+    assert order7.with_value("x1", "x1", 1.0).elements == elements
+
+
 def test_index_references_must_be_integers(order7):
     assert order7.index_of(np.int64(2)) == 2
     assert order7.index_of(True) == 1
