@@ -185,7 +185,7 @@ def pivot_extend(r: FuzzyRelation, a: ElementLike, b: ElementLike) -> FuzzyRelat
             f"cannot put {r.labels[ia]!r} above {r.labels[ib]!r}: "
             f"the reverse grade is {float(r.grid[ib, ia])}, not 0",
         )
-    return FuzzyRelation._on_carrier_of(r, _pivot_grid(r.grid, ia, ib))
+    return FuzzyRelation._on_carrier_of(r.labels, _pivot_grid(r.grid, ia, ib))
 
 
 def _runs(g, pairs, flips=None):
@@ -326,7 +326,7 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
     for run_tops, run_bottoms in _runs(grid, pairs, above[pairs[1], pairs[0]]):
         tops += run_tops
         bottoms += run_bottoms
-    relation = FuzzyRelation._on_carrier_of(r, grid)
+    relation = FuzzyRelation._on_carrier_of(r.labels, grid)
     trace = PivotStep._replayed(r, tops, bottoms)
     return LinearizationResult(relation, trace, len(tops), 2 * len(pairs[0]))
 

@@ -102,7 +102,7 @@ def _rescan(cells, read_cells, prep) -> list[float]:
 
 
 def _grid(rows, read_cells, row0: int, col0: int, pending=None, prep=lambda cell: cell):
-    """The grid of ``rows`` of grade cells, or the document's first error.
+    """The grid of ``rows`` of grade cells, -0.0 made +0.0, or the document's first error.
 
     ``read_cells`` reads a whole row, raising ValueError on a malformed cell;
     a row it refuses is rescanned.  Entry (i, j) sits at (row0 + i, col0 + j),
@@ -129,6 +129,7 @@ def _grid(rows, read_cells, row0: int, col0: int, pending=None, prep=lambda cell
         raise ParseError(f"value {prep(rows[i][j])} outside [0, 1]", row0 + i, col0 + j)
     if pending is not None:
         raise pending
+    grid += 0.0  # -0.0 (a CSV "-0", a JSON "-0.0") made +0.0 in place
     return grid
 
 

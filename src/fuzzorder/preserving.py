@@ -136,9 +136,9 @@ def clamp_extend(r: FuzzyRelation, a: ElementLike, b: ElementLike) -> ClampResul
             "r(a,b)=0",
             f"cannot preserve the grade of ({r.labels[ia]!r}, {r.labels[ib]!r}): it is 0",
         )
-    base = FuzzyRelation._on_carrier_of(r, _linear_grid(r.grid))
+    base = FuzzyRelation._on_carrier_of(r.labels, _linear_grid(r.grid))
     clamped = _clamp(r.grid, base.grid, ia, ib)
-    s = base if clamped is base.grid else FuzzyRelation._on_carrier_of(r, clamped)
+    s = base if clamped is base.grid else FuzzyRelation._on_carrier_of(r.labels, clamped)
     return ClampResult(s, beta, base, Pair(r.element(ia), r.element(ib)))
 
 
@@ -231,7 +231,7 @@ def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
     for i, j in positives:
         merge(_clamp(grid, base, i, j), f"preserves({labels[i]},{labels[j]})")
     members = tuple(
-        FamilyMember(FuzzyRelation._on_carrier_of(r, levels[member_grid(key)]), tuple(tags))
+        FamilyMember(FuzzyRelation._on_carrier_of(labels, levels[member_grid(key)]), tuple(tags))
         for key, tags in merged.items()
     )
     return ExtensionFamily(members, built=len(tops) + len(positives))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -145,6 +146,21 @@ def _label_error(labels) -> tuple[int, str] | None:
     return None
 
 
+def _checked_grid(grid: np.ndarray, n: int) -> np.ndarray:
+    """``grid``, a fresh float64 array, checked as the grid of n labels and
+    with -0.0 made +0.0 in place; ValueError names the first rule broken."""
+    if grid.shape != (n, n):
+        raise ValueError(
+            f"grid must be {n}x{n} to match the {n} labels, got shape {grid.shape}"
+        )
+    if not np.isfinite(grid).all():
+        raise ValueError("grades must be finite (no NaN or infinity)")
+    if (grid < 0.0).any() or (grid > 1.0).any():
+        raise ValueError("grades must lie in the closed interval [0, 1]")
+    grid += 0.0
+    return grid
+
+
 @dataclass(frozen=True, eq=False)
 class FuzzyRelation:
     """An immutable fuzzy relation: ordered labels plus an n-by-n grade grid.
@@ -155,9 +171,11 @@ class FuzzyRelation:
     which CSV strips, and no carriage return, which CSV writes unquoted and
     universal newlines turn into a line feed) and the grid (square, finite,
     every entry in [0, 1]) and keeps a read-only copy of the grid, -0.0 made
-    +0.0.  Operations never mutate a relation; one they derive shares its
-    input's carrier and owns the fresh array its grid was computed into.  Only
-    its last check's order verdict is kept on it later (see :func:`check_order`).
+    +0.0.  A relation holds its labels, its read-only grid and the order
+    verdict of its last check (see :func:`check_order`); it builds its label
+    index and its :class:`Element` tuple on first use.  Operations never
+    mutate a relation; one they derive shares only its input's labels tuple
+    and owns the fresh array its grid was computed into.
     """
 
     labels: tuple[str, ...]
@@ -170,48 +188,25 @@ class FuzzyRelation:
         error = _label_error(labels)
         if error is not None:
             raise ValueError(error[1])
-        grid = np.asarray(self.grid, dtype=np.float64) + 0.0  # a copy, with -0.0 made +0.0
-        n = len(labels)
-        if grid.shape != (n, n):
-            raise ValueError(
-                f"grid must be {n}x{n} to match the {n} labels, got shape {grid.shape}"
-            )
-        if not np.isfinite(grid).all():
-            raise ValueError("grades must be finite (no NaN or infinity)")
-        if (grid < 0.0).any() or (grid > 1.0).any():
-            raise ValueError("grades must lie in the closed interval [0, 1]")
-        self._freeze(labels, grid)
+        self._freeze(labels, _checked_grid(np.array(self.grid, dtype=np.float64), len(labels)))
 
-    def _freeze(self, labels, grid, carrier=None):
-        # Adopts ``grid`` as it is, read-only from now on.  ``carrier`` is the
-        # (label index, Elements slot) pair of a relation on the same labels,
-        # which this one then shares; the slot is a list that holds the
-        # carrier's Elements once they are first read.
+    def _freeze(self, labels, grid):
+        # Adopts ``grid`` as it is, read-only from now on.
         grid.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "grid", grid)
-        pos, elements = carrier or ({lbl: i for i, lbl in enumerate(labels)}, [])
-        object.__setattr__(self, "_pos", pos)
-        object.__setattr__(self, "_elements", elements)
         # The order verdict of the last check of this relation (None: none
         # yet); see check_order.
         object.__setattr__(self, "_is_order", None)
         return self
 
     @classmethod
-    def _on_carrier_of(cls, carrier, grid) -> "FuzzyRelation":
-        # A relation on a validated carrier, with ``grid`` unchecked: either a
-        # relation r, sharing its labels and index, and a grid made by min/max
-        # from r's, or labels and n x n grades that a parser has checked.  The
-        # caller hands over a fresh float64 array that nothing else writes.
-        # A derived grid is adopted as it is: min/max and indexing only pick
-        # grades that relations hold already, and none of those is -0.0.  A
-        # parsed grid may hold -0.0 (from a CSV "-0" or a JSON "-0.0"), so it
-        # is copied once, with -0.0 made +0.0.
-        s = object.__new__(cls)
-        if isinstance(carrier, FuzzyRelation):
-            return s._freeze(carrier.labels, grid, (carrier._pos, carrier._elements))
-        return s._freeze(carrier, grid + 0.0)
+    def _on_carrier_of(cls, labels, grid) -> "FuzzyRelation":
+        # A relation on the checked ``labels`` that adopts ``grid``: a fresh
+        # float64 array of checked grades, none of them -0.0, that nothing
+        # else writes.  Min/max and indexing only pick grades that relations
+        # hold already; the parsers and with_value make -0.0 +0.0 in place.
+        return object.__new__(cls)._freeze(labels, grid)
 
     # -- carrier ----------------------------------------------------------
 
@@ -219,11 +214,13 @@ class FuzzyRelation:
     def n(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
+    def _pos(self) -> dict[str, int]:
+        return {lbl: i for i, lbl in enumerate(self.labels)}
+
+    @cached_property
     def elements(self) -> tuple[Element, ...]:
-        if not self._elements:
-            self._elements.append(tuple(map(Element, self.labels, range(self.n))))
-        return self._elements[0]
+        return tuple(map(Element, self.labels, range(self.n)))
 
     def index_of(self, x: ElementLike) -> int:
         """Resolve an element reference (Element, label, or index) to its index."""
@@ -240,8 +237,7 @@ class FuzzyRelation:
         return i
 
     def element(self, x: ElementLike) -> Element:
-        i = self.index_of(x)
-        return Element(self.labels[i], i)
+        return self.elements[self.index_of(x)]
 
     # -- grades -----------------------------------------------------------
 
@@ -252,7 +248,7 @@ class FuzzyRelation:
         """A copy of this relation with one entry replaced."""
         g = np.array(self.grid)
         g[self.index_of(x), self.index_of(y)] = value
-        return FuzzyRelation(self.labels, g)
+        return FuzzyRelation._on_carrier_of(self.labels, _checked_grid(g, self.n))
 
     def tolists(self) -> list[list[float]]:
         return [[float(v) for v in row] for row in self.grid]
@@ -445,4 +441,4 @@ def pointwise_inf(family: Iterable[FuzzyRelation] | Sequence[FuzzyRelation]) -> 
     for m in members[1:]:
         _same_carrier(m.labels, members[0].labels)
         np.minimum(inf, m.grid, out=inf)
-    return FuzzyRelation._on_carrier_of(members[0], inf)
+    return FuzzyRelation._on_carrier_of(members[0].labels, inf)

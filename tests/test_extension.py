@@ -487,6 +487,8 @@ def test_entries_raised_is_built_once_and_kept():
         first = step.entries_raised
         assert step.entries_raised == first
         assert step.entries_raised is first
+        # A reader that finds the replay slot already gone takes the kept tuple.
+        assert PivotStep.__getattr__(step, "entries_raised") is first
     with pytest.raises(AttributeError):
         result.trace[0].a = result.trace[0].b
     with pytest.raises(AttributeError):

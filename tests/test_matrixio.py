@@ -349,6 +349,16 @@ def test_load_matrix_reads_crlf_and_cr_line_endings(tmp_path, newline):
     assert load_matrix(path)[0] == parse_matrix(ORDER3_CSV)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_parse_csv_ignores_trailing_blank_lines(tmp_path, newline):
+    doc = ORDER3_CSV.replace("\n", newline)
+    padded = doc + newline * 3
+    assert parse_matrix(padded) == parse_matrix(doc)
+    path = tmp_path / "padded.csv"
+    path.write_bytes(padded.encode("utf-8"))
+    assert load_matrix(path) == (parse_matrix(doc), "csv")
+
+
 def test_format_detection():
     a = parse_matrix(",a\na,1\n")
     b = parse_matrix('  {"elements": ["a"], "matrix": [[1]]}')

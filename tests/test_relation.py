@@ -1,5 +1,8 @@
 """Data model and axiom predicate tests."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,7 +32,14 @@ from fuzzorder import relation
 from fuzzorder.relation import _passes_order
 
 from conftest import identity_relation
-from genutil import block_sums, corpus, corrupt, reference_incomparable_pairs
+from genutil import (
+    alpha_cut_is_order,
+    block_sum,
+    block_sums,
+    corpus,
+    corrupt,
+    reference_incomparable_pairs,
+)
 
 
 # ---------------------------------------------------------------- model
@@ -125,13 +135,32 @@ def test_element_lookup(order7):
 
 
 def test_relations_on_one_carrier_share_its_elements(order7):
-    """The Elements are built once per carrier, and derived relations share them."""
+    """The Elements are built once per relation; derived relations have equal ones."""
     elements = order7.elements
     assert elements == tuple(order7.element(i) for i in range(order7.n))
     assert order7.elements is elements
     derived = (pivot_extend(order7, "x1", "x2"), linearize(order7).relation, pointwise_inf([order7]))
-    assert all(r.elements is elements for r in derived)
+    assert all(r.elements == elements for r in derived)
     assert order7.with_value("x1", "x1", 1.0).elements == elements
+
+
+def test_with_value_checks_its_one_copy_of_the_grid():
+    """with_value checks the grades as the constructor does, in the copy it
+    writes the new grade into, and allocates no second grid."""
+    r = block_sum((12,) * 16)  # the n = 192 disjoint sum
+    tracemalloc.start()
+    try:
+        s = r.with_value(0, 1, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * r.grid.nbytes, (peak, r.grid.nbytes)
+    assert s.value(0, 1) == 0.5 and not np.shares_memory(s.grid, r.grid)
+    assert np.array_equal(np.delete(s.grid.ravel(), 1), np.delete(r.grid.ravel(), 1))
+    assert not np.signbit(r.with_value(0, 1, -0.0).grid).any()
+    for bad in (-0.5, 1.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="grades must"):
+            r.with_value(0, 1, bad)
 
 
 def test_index_references_must_be_integers(order7):
@@ -242,6 +271,24 @@ def test_order_implies_unit_diagonal_and_one_direction(order7):
                 assert not (g[i, j] > 0 and g[j, i] > 0)
 
 
+def test_every_three_point_relation_on_three_grades_gets_one_verdict():
+    """All 729 relations on three points with a unit diagonal and off-diagonal
+    grades in {0, 1/2, 1}: check_order, the verdict-only check, the brute
+    oracle and the alpha-cut oracle agree on each, and 79 are orders."""
+    rows, cols = np.nonzero(~np.eye(3, dtype=bool))
+    orders = 0
+    for grades in itertools.product((0.0, 0.5, 1.0), repeat=len(rows)):
+        grid = np.eye(3)
+        grid[rows, cols] = grades
+        r = FuzzyRelation(("a", "b", "c"), grid)
+        expected = brute_check_order(r)
+        assert _passes_order(FuzzyRelation(r.labels, r.grid)) == expected
+        assert check_order(r).is_order == expected
+        assert alpha_cut_is_order(r) == expected
+        orders += expected
+    assert orders == 79
+
+
 # ------------------------------------------------------- recorded verdict
 
 
@@ -272,7 +319,7 @@ def test_check_order_reports_stay_complete_once_a_verdict_is_recorded():
 def test_derived_relations_start_without_a_verdict(axiom_calls, order7):
     assert check_order(order7).is_order
     derived = [
-        FuzzyRelation._on_carrier_of(order7, order7.grid),
+        FuzzyRelation._on_carrier_of(order7.labels, order7.grid),
         order7.with_value("x1", "x1", 1.0),
         parse_matrix(emit_matrix(order7, "csv")),
         parse_matrix(emit_matrix(order7, "json")),
