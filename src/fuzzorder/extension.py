@@ -25,7 +25,8 @@ and its pivots are the pairs still incomparable when reached: b is skipped
 iff r(a, b) > 0 or r(b, a) > 0 when the run starts, or an earlier pivot's
 bottom b' has r(b', b) > 0.  So the keep rule reads: of the bottoms left
 free when the run starts, j is pivoted iff the first free bottom above j
-(the first j' in the run with r(j', j) > 0) is j itself.
+(the first j' in the run with r(j', j) > 0) is j itself.  A single pivot is
+the run of one bottom, and :func:`pivot_extend` applies it so.
 
 Every run of any length costs one update of only the rows x with
 r(x, a) > min_t r(x, b_t), each as a whole row: every grade of such a row
@@ -162,11 +163,6 @@ class LinearizationResult:
     m: int
 
 
-def _pivot_grid(g: np.ndarray, a: int, b: int, out=None) -> np.ndarray:
-    # The pivot formula on the whole of one grid, or on each grid of a stack.
-    return np.maximum(g, np.minimum(g[..., :, a, None], g[..., b, None, :]), out=out)
-
-
 def pivot_extend(r: FuzzyRelation, a: ElementLike, b: ElementLike) -> FuzzyRelation:
     """Extend an order so that a sits fully above b.
 
@@ -185,7 +181,9 @@ def pivot_extend(r: FuzzyRelation, a: ElementLike, b: ElementLike) -> FuzzyRelat
             f"cannot put {r.labels[ia]!r} above {r.labels[ib]!r}: "
             f"the reverse grade is {float(r.grid[ib, ia])}, not 0",
         )
-    return FuzzyRelation._on_carrier_of(r.labels, _pivot_grid(r.grid, ia, ib))
+    g = np.array(r.grid)
+    _raise_block(g, ia, g[ib], g[:, ib])
+    return FuzzyRelation._on_carrier_of(r.labels, g)
 
 
 def _runs(g, pairs, flips=None):
@@ -195,8 +193,9 @@ def _runs(g, pairs, flips=None):
     # ``flips`` marks the pairs whose pivot puts j above i (None: none does).
     # Consecutive pairs (i, j) with the same i and flip form a run, which puts
     # a = i above each of its bottoms j in turn in h = g, or in h = g.T when
-    # flipped.  Yields, per run that pivots and after applying it, its pivots
-    # as (tops, bottoms): lists of g's indices, each top put above its bottom.
+    # flipped.  Returns the pivots applied, in order, as (tops, lows): lists
+    # of g's indices, each top put above its low.
+    tops, lows = [], []
     first, second = pairs
     flips = np.zeros(len(first), dtype=bool) if flips is None else flips
     key = 2 * first + flips
@@ -229,19 +228,18 @@ def _runs(g, pairs, flips=None):
             top, floor = np.maximum.reduce(below), h[:, bottoms].min(axis=1)
         _raise_block(h, a, top, floor)
         js, a_s = bottoms.tolist(), [a] * len(bottoms)
-        yield (js, a_s) if flipped else (a_s, js)
+        tops += js if flipped else a_s
+        lows += a_s if flipped else js
+    return tops, lows
 
 
 def _raise_block(h, a, top, floor):
-    # h[x, y] = max(h[x, y], min(h[x, a], top[y])) in place on the order grid
-    # h: the pivot of a above b when top = h[b] and floor = h[:, b], or a run
-    # of such pivots when top is the max of their bottoms' rows and floor the
-    # min of their bottoms' columns.  Writes only the rows that can rise, and
-    # each of them whole: a row x with h[x, a] <= floor[x] is left as it is,
-    # since h[x, a] <= h[x, b] for every bottom b, so by max-min transitivity
-    # h[x, y] >= min(h[x, b], h[b, y]) >= min(h[x, a], h[b, y]) at every y.
-    # A grade of a written row that cannot rise gets its own value back.
-    # Returns the rows with their old and new grades.
+    # The run update of the module docstring, in place on the order grid h:
+    # h[x, y] = max(h[x, y], min(h[x, a], top[y])), written only on the rows
+    # x with h[x, a] > floor[x] and on each of them whole.  top is the max of
+    # the run's bottoms' rows and floor the min of their columns; for one
+    # pivot of a above b, top = h[b] and floor = h[:, b].  Returns the rows
+    # with their old and new grades.
     rows = (h[:, a] > floor).nonzero()[0]
     old = h[rows]
     new = np.minimum.outer(old[:, a], top)
@@ -252,8 +250,7 @@ def _raise_block(h, a, top, floor):
 def _linear_grid(grid: np.ndarray) -> np.ndarray:
     # The "low"-policy linear extension of an order's grid, unchecked, untraced.
     g = np.array(grid)
-    for _ in _runs(g, _incomparable(g).nonzero()):
-        pass
+    _runs(g, _incomparable(g).nonzero())
     return g
 
 
@@ -290,13 +287,10 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
       raises :class:`ValueError` naming the pair.
 
     The pairs are taken in runs: consecutive pairs (i, j) with the same i
-    whose pivots all put i on top, or all put it below.  No pivot of a run
-    changes i's column or the row of any of the run's other elements, so
-    each run is applied as one grid update, which raises (x, y) to the min
-    of r(x, i) and the max of those elements' grades at y wherever that is
-    higher (with rows and columns swapped when i goes below).  Grid, trace
-    and k are those of pivoting one pair at a time.  The trace's
-    ``entries_raised`` are built on first read (see the module docstring).
+    whose pivots all put i on top, or all put it below.  Each run is applied
+    as one grid update (see the module docstring); grid, trace and k are
+    those of pivoting one pair at a time.  The trace's ``entries_raised``
+    are built on first read (see the module docstring).
     The order precondition reads a verdict that :func:`~fuzzorder.check_order`
     recorded on ``r`` instead of checking again.
 
@@ -322,10 +316,7 @@ def linearize(r: FuzzyRelation, policy: PivotPolicy = "low") -> LinearizationRes
 
     grid = np.array(r.grid)
     pairs = _incomparable(grid).nonzero()
-    tops, bottoms = [], []
-    for run_tops, run_bottoms in _runs(grid, pairs, above[pairs[1], pairs[0]]):
-        tops += run_tops
-        bottoms += run_bottoms
+    tops, bottoms = _runs(grid, pairs, above[pairs[1], pairs[0]])
     relation = FuzzyRelation._on_carrier_of(r.labels, grid)
     trace = PivotStep._replayed(r, tops, bottoms)
     return LinearizationResult(relation, trace, len(tops), 2 * len(pairs[0]))

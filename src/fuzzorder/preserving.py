@@ -22,11 +22,15 @@ grade gives the family built on grades, bit for bit.
 
 The orienting members are linearized together, as a members x n x n stack of
 rank grids.  One cursor walks r's incomparable pairs once, in row-major
-order, and at each pair pivots exactly the members for which that pair is
-still incomparable.  A member's incomparable pairs are a subset of r's, so
-every member meets its pivots in the order a linearization of it alone
-would.  The stack advances in consecutive slabs of members no larger than a
-fixed byte budget, so its memory does not grow with the number of members.
+order, and at each pair (i, j) pivots exactly the members for which that
+pair is still incomparable, all at once by the stacked update
+
+    g'(x, y) = max(g(x, y), min(g(x, i), g(j, y)))   for each such member g.
+
+A member's incomparable pairs are a subset of r's, so every member meets its
+pivots in the order a linearization of it alone would.  The stack advances
+in consecutive slabs of members no larger than a fixed byte budget, so its
+memory does not grow with the number of members.
 The first member is r's own "low" linearization and the base of every
 clamp, so r is linearized once.  Equal members are merged on their rank
 grids, in order of first occurrence, and only the merged members are mapped
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extension import _linear_grid, _pivot_grid
+from .extension import _linear_grid
 from .relation import (
     ElementLike,
     FuzzyRelation,
@@ -50,6 +54,7 @@ from .relation import (
     _incomparable,
     _passes_order,
     _same_carrier,
+    _verdict,
     pointwise_inf,
 )
 
@@ -216,7 +221,7 @@ def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
             live = (stack[:, i, j] == stack[:, j, i]).nonzero()[0]
             if len(live):
                 g = stack[live]
-                stack[live] = _pivot_grid(g, i, j, out=g)
+                stack[live] = np.maximum(g, np.minimum(g[:, :, i, None], g[:, j, None, :]), out=g)
         for k, (top, bottom) in enumerate(zip(a, b)):
             merge(stack[k], f"orients({labels[top]},{labels[bottom]})")
         del stack  # merge copied what it keeps; free the slab before seeding the next
@@ -250,8 +255,7 @@ def verify_intersection(r: FuzzyRelation, family) -> Verdict:
     """
     inf = pointwise_inf(m.relation if isinstance(m, FamilyMember) else m for m in family)
     _same_carrier(inf.labels, r.labels)
-    witnesses = tuple(
+    return _verdict(
         ((r.labels[i], r.labels[j]), float(inf.grid[i, j]), float(r.grid[i, j]))
         for i, j in np.argwhere(inf.grid != r.grid)
     )
-    return Verdict(not witnesses, witnesses)

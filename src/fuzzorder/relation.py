@@ -251,7 +251,7 @@ class FuzzyRelation:
         return FuzzyRelation._on_carrier_of(self.labels, _checked_grid(g, self.n))
 
     def tolists(self) -> list[list[float]]:
-        return [[float(v) for v in row] for row in self.grid]
+        return self.grid.tolist()
 
     # -- identity ---------------------------------------------------------
 

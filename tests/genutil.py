@@ -20,7 +20,7 @@ from fuzzorder import (
     random_zadeh_order,
     verify_intersection,
 )
-from fuzzorder.extension import _linear_grid, _pivot_grid
+from fuzzorder.extension import _linear_grid
 from fuzzorder.matrixio import _read_json, detect_format
 from fuzzorder.relation import _incomparable, _label_error
 
@@ -220,6 +220,12 @@ def alpha_cut_is_order(r: FuzzyRelation) -> bool:
     return True
 
 
+def reference_pivot(g: np.ndarray, a: int, b: int, out=None) -> np.ndarray:
+    """The pivot formula on the whole grid g, putting a above b:
+    max(g(x, y), min(g(x, a), g(b, y))) at every (x, y)."""
+    return np.maximum(g, np.minimum.outer(g[:, a], g[b]), out=out)
+
+
 def reference_family(r: FuzzyRelation) -> ExtensionFamily:
     """Reference certifying family: build every member on its own, then merge.
 
@@ -238,7 +244,7 @@ def reference_family(r: FuzzyRelation) -> ExtensionFamily:
     ordered = []
     for i, j in incomparables:
         for a, b in ((i, j), (j, i)):
-            s = FuzzyRelation(labels, _linear_grid(_pivot_grid(r.grid, a, b)))
+            s = FuzzyRelation(labels, _linear_grid(reference_pivot(r.grid, a, b)))
             ordered.append((s, f"orients({labels[a]},{labels[b]})"))
     base = _linear_grid(r.grid)
     for i, j in positives:

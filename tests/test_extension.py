@@ -29,7 +29,7 @@ from fuzzorder import (
 
 from fuzzorder import extension
 from fuzzorder.cli import run_command
-from fuzzorder.extension import _linear_grid, _pivot_grid, _raise_block, _runs
+from fuzzorder.extension import _linear_grid, _raise_block, _runs
 from fuzzorder.relation import _incomparable
 
 from conftest import (
@@ -52,6 +52,7 @@ from genutil import (
     corpus,
     low_rescan,
     poset_orders,
+    reference_pivot,
     rescan_linearization,
     subnormal_regrade,
     tight_regrade,
@@ -406,19 +407,26 @@ def test_linearize_matches_both_references_on_the_longest_runs(sizes):
             assert result.relation.grid.tobytes() == grid.tobytes()
 
 
-def test_runs_batch_the_pivots_of_a_disjoint_sum():
+def test_runs_batch_the_pivots_of_a_disjoint_sum(monkeypatch):
     """One grid update per cursor run: at most n - 1 of them for hundreds of pivots."""
     r = block_sum((12,) * 8, seed=500)
     g = np.array(r.grid)
-    updates = sum(1 for _ in _runs(g, _incomparable(g).nonzero()))
-    assert updates <= r.n - 1
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _raise_block(*args)
+
+    monkeypatch.setattr(extension, "_raise_block", counted)
+    _runs(g, _incomparable(g).nonzero())
+    assert 0 < len(calls) <= r.n - 1
     assert linearize(r).k >= 200
 
 
 def test_linear_grid_matches_rescan_on_order7_orienting_grids(order7):
     for i, j in np.argwhere(_incomparable(order7.grid)):
         for a, b in ((i, j), (j, i)):
-            pre = _pivot_grid(order7.grid, a, b)
+            pre = reference_pivot(order7.grid, a, b)
             assert _linear_grid(pre).tobytes() == rescan_linearization(pre)[0].tobytes()
 
 
@@ -428,13 +436,13 @@ def test_linear_grid_matches_rescan_on_order7_orienting_grids(order7):
 def _assert_raise_block_is_the_pivot(g, pivots):
     # _raise_block(h, a, g[b], g[:, b]) on a copy h of the grid g, for each
     # legal pivot (a, b) listed: g[b, a] = 0, so a != b.  It must leave h
-    # equal to _pivot_grid(g, a, b) bit for bit; putting its old rows back
+    # equal to reference_pivot(g, a, b) bit for bit; putting its old rows back
     # must then give g again, so every row that the whole-grid pivot changes
     # is among those it returned.
     h, pivoted = np.array(g), np.empty_like(g)
     for a, b in pivots:
         rows, old, _ = _raise_block(h, a, g[b], g[:, b])
-        _pivot_grid(g, a, b, out=pivoted)
+        reference_pivot(g, a, b, out=pivoted)
         assert np.array_equal(h.view(np.int64), pivoted.view(np.int64)), (a, b)
         h[rows] = old
         assert np.array_equal(h.view(np.int64), g.view(np.int64)), (a, b)
@@ -462,7 +470,7 @@ def test_raise_block_is_the_pivot_on_block_sums(k):
         for step in linearize(r).trace:
             a, b = index[step.a], index[step.b]
             _assert_raise_block_is_the_pivot(g, [(a, b)])
-            g = _pivot_grid(g, a, b)
+            g = reference_pivot(g, a, b)
 
 
 # ------------------------------------------------- trace tuples built on read

@@ -33,7 +33,7 @@ from fuzzorder import (
     verify_intersection,
 )
 
-from genutil import corrupt, tight_regrade
+from genutil import corrupt, reference_pivot, tight_regrade
 
 DENSITIES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
@@ -93,6 +93,7 @@ def test_pivot_monotone_and_value_conserving(case):
     assert (out.grid >= r.grid).all()
     assert ((r.grid > 0) <= (out.grid > 0)).all()  # positive support never shrinks
     assert set(out.grid.flat) <= set(r.grid.flat)
+    assert out.grid.tobytes() == reference_pivot(r.grid, a, b).tobytes()
 
 
 @settings(max_examples=100, deadline=None)

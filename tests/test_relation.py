@@ -38,7 +38,12 @@ from genutil import (
     block_sums,
     corpus,
     corrupt,
+    low_rescan,
+    reference_clamp,
     reference_incomparable_pairs,
+    reference_pivot,
+    subnormal_regrade,
+    tight_regrade,
 )
 
 
@@ -271,12 +276,38 @@ def test_order_implies_unit_diagonal_and_one_direction(order7):
                 assert not (g[i, j] > 0 and g[j, i] > 0)
 
 
+def _sweep_pivots_clamps_and_round_trips(r):
+    # Every legal pivot_extend of the order r against the pivot formula, and
+    # every clamp_extend against the reference clamp on the "low" rescan
+    # base, bit for bit; each result is an order >= r; r and each result
+    # come back from CSV and from JSON bit for bit.  Returns the numbers of
+    # pivots, clamps and round trips.
+    results = [r]
+    for a, b in np.argwhere(r.grid.T == 0.0).tolist():
+        results.append(pivot_extend(r, a, b))
+        assert results[-1].grid.tobytes() == reference_pivot(r.grid, a, b).tobytes()
+    pivots, base = len(results) - 1, low_rescan(r)[0]
+    positive = r.grid > 0.0
+    np.fill_diagonal(positive, False)
+    for i, j in np.argwhere(positive).tolist():
+        results.append(clamp_extend(r, i, j).relation)
+        assert results[-1].grid.tobytes() == reference_clamp(r.grid, base, i, j).tobytes()
+    for s in results:
+        assert brute_check_order(s) and extends(r, s)
+        for fmt in ("csv", "json"):
+            back = parse_matrix(emit_matrix(s, fmt), fmt)
+            assert back.labels == s.labels and back.grid.tobytes() == s.grid.tobytes()
+    return np.array([pivots, len(results) - 1 - pivots, 2 * len(results)])
+
+
 def test_every_three_point_relation_on_three_grades_gets_one_verdict():
     """All 729 relations on three points with a unit diagonal and off-diagonal
     grades in {0, 1/2, 1}: check_order, the verdict-only check, the brute
-    oracle and the alpha-cut oracle agree on each, and 79 are orders."""
+    oracle and the alpha-cut oracle agree on each, and 79 are orders.  Each
+    order, and its tight and subnormal regrades, passes the sweep of every
+    legal pivot, every clamp and the round trips in both formats."""
     rows, cols = np.nonzero(~np.eye(3, dtype=bool))
-    orders = 0
+    orders, swept = 0, 0
     for grades in itertools.product((0.0, 0.5, 1.0), repeat=len(rows)):
         grid = np.eye(3)
         grid[rows, cols] = grades
@@ -286,7 +317,11 @@ def test_every_three_point_relation_on_three_grades_gets_one_verdict():
         assert check_order(r).is_order == expected
         assert alpha_cut_is_order(r) == expected
         orders += expected
+        if expected:
+            for s in (r, tight_regrade(r), subnormal_regrade(r)):
+                swept += _sweep_pivots_clamps_and_round_trips(s)
     assert orders == 79
+    assert swept.tolist() == [864, 558, 3318]
 
 
 # ------------------------------------------------------- recorded verdict
