@@ -325,6 +325,15 @@ def inf_reconstruction_probe(r: FuzzyRelation) -> bool:
     return bool(verdict) and second == r.tolists()
 
 
+def reference_support_flags(support: np.ndarray) -> np.ndarray:
+    """The rows x of a square 0/1 ``support`` with a path x -> y -> z in it
+    and no entry (x, z), from the plain integer product of the support with
+    itself: no packing, no table."""
+    s = np.asarray(support, dtype=bool)
+    paths = s.astype(np.int64) @ s.astype(np.int64)
+    return ((paths > 0) & ~s).any(axis=1)
+
+
 # -------------------------------------------------------------------------
 # per-cell references for the bulk file path
 # -------------------------------------------------------------------------

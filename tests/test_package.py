@@ -42,3 +42,61 @@ def test_every_source_file_parses_as_python_3_10():
     assert len(files) > 20
     for path in files:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+BLAS_CALLS = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot"}
+
+
+def _blas_uses(tree):
+    # (line, what) for every matrix product, BLAS-backed call or linalg use.
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in BLAS_CALLS:
+                yield node.lineno, name
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            yield node.lineno, "linalg"
+        elif isinstance(node, ast.Name) and node.id == "linalg":
+            yield node.lineno, "linalg"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+            if any("linalg" in name.split(".") or name in BLAS_CALLS for name in names):
+                yield node.lineno, "import"
+
+
+def test_no_module_calls_blas():
+    """The package does no matrix product and no linear algebra, so it never
+    starts a BLAS thread pool: OpenBLAS's second thread keeps spinning after
+    a product returns, and costs a whole core for the rest of the run."""
+    root = Path(__file__).resolve().parent.parent / "src" / "fuzzorder"
+    files = sorted(root.rglob("*.py"))
+    assert len(files) >= len(MODULES) + 2  # __init__ and cli too
+    found = [
+        (path.name, line, what)
+        for path in files
+        for line, what in _blas_uses(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert found == []
+
+
+def test_the_blas_guard_sees_every_form():
+    source = """
+a @ b
+a @= b
+np.dot(a, b); a.dot(b); np.matmul(a, b); np.einsum("ij,jk", a, b)
+np.tensordot(a, b); np.inner(a, b); np.vdot(a, b)
+np.linalg.solve(a, b)
+from numpy.linalg import norm
+from numpy import linalg
+import numpy.linalg
+from numpy import dot
+"""
+    assert sorted(_blas_uses(ast.parse(source))) == [
+        (2, "@"), (3, "@"),
+        (4, "dot"), (4, "dot"), (4, "einsum"), (4, "matmul"),
+        (5, "inner"), (5, "tensordot"), (5, "vdot"),
+        (6, "linalg"), (7, "import"), (8, "import"), (9, "import"), (10, "import"),
+    ]

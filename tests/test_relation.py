@@ -42,6 +42,7 @@ from genutil import (
     reference_clamp,
     reference_incomparable_pairs,
     reference_pivot,
+    reference_support_flags,
     subnormal_regrade,
     tight_regrade,
 )
@@ -243,6 +244,73 @@ def test_transitivity_witnesses_do_not_depend_on_the_slab_size(monkeypatch):
     assert any(v > 0.0 for verdict in whole for _, v, _ in verdict.witnesses)
     monkeypatch.setattr(relation, "_SLAB_BYTES", 1)
     assert [is_transitive(r) for r in relations] == whole
+
+
+def _random_supports():
+    # Around the 8-bit bytes and 64-bit words of the packed rows, at every
+    # density; each is drawn whole, then again with rows and columns emptied.
+    # The diagonal stays as drawn, so most are not reflexive.
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129, 192):
+        for density in (0.0, 0.02, 0.1, 0.3, 0.6, 0.9, 1.0):
+            s = rng.random((n, n)) < density
+            yield s
+            holes = s.copy()
+            holes[rng.random(n) < 0.25] = False
+            holes[:, rng.random(n) < 0.25] = False
+            yield holes
+
+
+def test_support_flags_match_an_unpacked_product_on_random_supports(monkeypatch):
+    """The packed-bit test flags exactly the rows that the integer product of
+    the support flags, in one slab or in slabs of a few rows, and check_order
+    lists every two-step triple of a 0/1 relation as a witness (where there
+    are few enough to list)."""
+    seen = set()
+    for s in _random_supports():
+        n = len(s)
+        expected = reference_support_flags(s)
+        assert (relation._support_flags(s) == expected).all(), n
+        with monkeypatch.context() as m:
+            m.setattr(relation, "_SLAB_BYTES", 1000)
+            assert (relation._support_flags(s) == expected).all(), n
+        seen.add((expected.any(), (~s).all(axis=1).any()))
+        triples = np.argwhere(s[:, :, None] & s[None, :, :] & ~s[:, None, :])
+        if len(triples) > 20_000:
+            continue  # listing that many witnesses as tuples adds nothing here
+        labels = tuple(f"v{i}" for i in range(n))
+        assert check_order(FuzzyRelation(labels, s.astype(float))).transitivity_witnesses == tuple(
+            ((labels[x], labels[y], labels[z]), 0.0, 1.0) for x, y, z in triples
+        )
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_support_flags_match_an_unpacked_product_on_block_sums_and_their_damages():
+    """No row of a block sum is flagged.  Damaged copies (a corrupt entry, an
+    entry on a two-step path zeroed, a row's support emptied) are flagged,
+    and list their zero-entry witnesses, exactly where the reference says."""
+    rng = np.random.default_rng(43)
+    flagged = 0
+    for r in block_sums():
+        s = r.grid > 0.0
+        assert not reference_support_flags(s).any()
+        damaged = [r] + [corrupt(r, rng) for _ in range(3)]
+        paths = s.astype(np.int64) @ s.astype(np.int64)
+        x, z = np.argwhere(s & (paths > 2))[rng.integers(np.count_nonzero(s & (paths > 2)))]
+        damaged.append(r.with_value(x, z, 0.0))
+        g = np.array(r.grid)
+        g[rng.integers(r.n)] = 0.0
+        damaged.append(FuzzyRelation(r.labels, g))
+        for d in damaged:
+            support = d.grid > 0.0
+            expected = reference_support_flags(support)
+            assert (relation._support_flags(support) == expected).all()
+            witnesses = check_order(d).transitivity_witnesses
+            assert {d.index_of(x) for (x, _, _), value, _ in witnesses if value == 0.0} == set(
+                expected.nonzero()[0].tolist()
+            )
+            flagged += expected.any()
+    assert flagged >= len(block_sums())
 
 
 def test_check_order_all_pass(order7):
