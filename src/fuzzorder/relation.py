@@ -287,45 +287,27 @@ def _antisymmetry_witnesses(r: FuzzyRelation):
 
 
 # The byte budget of one slab of whole-grid work: the transitivity check's
-# rows of pairs and of gathered support words, and the certifying family's
-# stacked member rank grids.
+# rows of pairs, and the certifying family's stacked member rank grids.
 _SLAB_BYTES = 2 << 20
-
-
-# _NIBBLE_MASKS[i, k] is a word of ones iff bit i of k is set, for the 16
-# values k of four bits.
-_NIBBLE_MASKS = np.where(
-    np.arange(16) >> np.arange(4)[:, None] & 1, ~np.uint64(0), np.uint64(0)
-)[:, :, None]
 
 
 def _support_flags(support: np.ndarray) -> np.ndarray:
     # The rows x of the square 0/1 ``support`` with a path x -> y -> z in it
-    # and no entry (x, z), by the method of Four Russians on packed bits.
-    # Rows pack into whole uint64 words (bit j of byte c is column 8c + j),
-    # and zero rows pad the carrier to whole bytes.  table[k, c] is the OR
-    # of the rows 8c + j with bit j set in k, so row x reaches in two steps
-    # the OR over c of table[byte c of row x, c].  Bitwise operations only:
-    # exact, and on one thread.
+    # and no entry (x, z).  Rows pack into whole uint64 words, zero-padded,
+    # and row x reaches in two steps the OR of the packed rows y with an
+    # entry (x, y).  One OR-reduce, masked by the support, takes it for
+    # every x over a broadcast view of the words' transpose, so it copies
+    # nothing of size n^2.  Bitwise operations only: exact, and on one
+    # thread.
     n = len(support)
     width = -(-n // 64)  # words per row
-    nbytes = -(-n // 8)  # bytes per row that hold columns
-    packed = np.zeros((8 * nbytes, 8 * width), dtype=np.uint8)
-    packed[:n, :nbytes] = np.packbits(support, axis=1, bitorder="little")
+    bits = np.packbits(support, axis=1)
+    packed = np.zeros((n, 8 * width), dtype=np.uint8)
+    packed[:, :bits.shape[1]] = bits
     words = packed.view(np.uint64)
-    # half[h, i, 0] holds row 8c + 4h + i for every c.  nibbles[h, k] ORs
-    # those of them with bit i set in k, and table[k] joins k's two halves.
-    half = words.reshape(nbytes, 2, 4, width).transpose(1, 2, 0, 3).reshape(2, 4, 1, -1)
-    nibbles = np.bitwise_or.reduce(half & _NIBBLE_MASKS, axis=1)
-    table = (nibbles[1, :, None] | nibbles[0, None, :]).reshape(256 * nbytes, width)
-    # keys[c, x] is the table row of byte c of row x: k * nbytes + c.
-    keys = packed[:n, :nbytes].T * np.intp(nbytes) + np.arange(nbytes)[:, None]
-    reach = np.empty((n, width), dtype=np.uint64)
-    step = max(1, _SLAB_BYTES // table[:nbytes].nbytes)
-    for lo in range(0, n, step):
-        np.bitwise_or.reduce(np.take(table, keys[:, lo:lo + step], axis=0), axis=0,
-                             out=reach[lo:lo + step])
-    return (reach & ~words[:n]).any(axis=1)
+    cols = np.broadcast_to(words.T.copy(), (n, width, n))  # [x, w, y]: word w of row y
+    reach = np.bitwise_or.reduce(cols, axis=2, where=support[:, None, :], initial=np.uint64(0))
+    return (reach & ~words).any(axis=1)
 
 
 def _transitivity_witnesses(r: FuzzyRelation):
@@ -389,11 +371,11 @@ def is_transitive(r: FuzzyRelation) -> Verdict:
     r(x,z) = 1 are skipped, as nothing exceeds them.  An entry 0 has a
     witness iff some path x -> y -> z is positive at both steps.  Those
     rows come from the 0/1 support by bitwise operations only, on one
-    thread: its rows pack into 64-bit words, and a table of ORs for every
-    eight rows y (the method of Four Russians) gives each row's two-step
-    reach in a few whole-array passes.  Fractional entries take the max-min
-    bound itself, in slabs of pairs.  Only the flagged rows then list their
-    witnesses, so a valid order builds no per-row work.
+    thread: its rows pack into 64-bit words, and one OR-reduce of the
+    packed rows y, masked by the support, gives every row's two-step reach.
+    Fractional entries take the max-min bound itself, in slabs of pairs.
+    Only the flagged rows then list their witnesses, so a valid order
+    builds no per-row work.
     """
     return _verdict(_transitivity_witnesses(r))
 

@@ -261,19 +261,15 @@ def _random_supports():
             yield holes
 
 
-def test_support_flags_match_an_unpacked_product_on_random_supports(monkeypatch):
+def test_support_flags_match_an_unpacked_product_on_random_supports():
     """The packed-bit test flags exactly the rows that the integer product of
-    the support flags, in one slab or in slabs of a few rows, and check_order
-    lists every two-step triple of a 0/1 relation as a witness (where there
-    are few enough to list)."""
+    the support flags, and check_order lists every two-step triple of a 0/1
+    relation as a witness (where there are few enough to list)."""
     seen = set()
     for s in _random_supports():
         n = len(s)
         expected = reference_support_flags(s)
         assert (relation._support_flags(s) == expected).all(), n
-        with monkeypatch.context() as m:
-            m.setattr(relation, "_SLAB_BYTES", 1000)
-            assert (relation._support_flags(s) == expected).all(), n
         seen.add((expected.any(), (~s).all(axis=1).any()))
         triples = np.argwhere(s[:, :, None] & s[None, :, :] & ~s[:, None, :])
         if len(triples) > 20_000:
