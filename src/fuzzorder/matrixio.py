@@ -110,19 +110,19 @@ def _grid(rows, read_cells, row0: int, col0: int, pending=None, prep=lambda cell
     in turn: the row-major first grade outside [0, 1] (NaN included), the
     first malformed cell, ``pending``.
     """
-    grid = []
+    # Each row is written into the one grid; rows after a malformed cell stay 0.
+    grid = np.zeros((len(rows), len(rows[0]) if rows else 0))
     for i, cells in enumerate(rows):
         try:
-            grid.append(read_cells(cells))
+            grid[i] = read_cells(cells)
         except ValueError:
             grades = _rescan(cells, read_cells, prep)
             j = len(grades)
             # The grades before a malformed cell still meet the range check.
-            grid.append(grades + [0.0] * (len(cells) - j))
+            grid[i, :j] = grades
             if j < len(cells):
                 pending = ParseError(f"malformed number {prep(cells[j])!r}", row0 + i, col0 + j)
                 break
-    grid = np.array(grid, dtype=np.float64)
     bad = ~((grid >= 0.0) & (grid <= 1.0))
     if bad.any():
         i, j = divmod(int(bad.argmax()), grid.shape[1])
@@ -168,13 +168,13 @@ def _parse_csv(text: str) -> FuzzyRelation:
         if len(line) != n + 1:
             pending = ParseError(f"expected {n + 1} cells, got {len(line)}", i, len(line) + 1)
             break
-        label = line[0].strip()
+        label = line.pop(0).strip()
         if label != labels[i - 2]:
             pending = ParseError(
                 f"row label {label!r} does not match header label {labels[i - 2]!r}", i, 1
             )
             break
-        rows.append(line[1:])
+        rows.append(line)
     grid = _grid(rows, _csv_cells, 2, 2, pending, str.strip)
     return FuzzyRelation._on_carrier_of(tuple(labels), grid)
 

@@ -218,6 +218,7 @@ def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
         stack = np.minimum(grid.T[a][:, :, None], grid[b][:, None, :])
         np.maximum(stack, grid, out=stack)
         for i, j in cursor:
+            # Integer ranks: a comparison loosened by an epsilon is the same one.
             live = (stack[:, i, j] == stack[:, j, i]).nonzero()[0]
             if len(live):
                 g = stack[live]

@@ -146,6 +146,16 @@ def _label_error(labels) -> tuple[int, str] | None:
     return None
 
 
+def _real_grades(grades) -> np.ndarray:
+    """``grades`` as an array, not copied if it is one; ValueError unless they
+    are real numbers.  NumPy would drop an imaginary part (with a warning
+    only) and read text with float(), which takes " 1" and non-ASCII digits."""
+    grades = np.asarray(grades)
+    if grades.dtype.kind in "cSUV":  # complex, bytes, text, structured
+        raise ValueError("grades must be real numbers")
+    return grades
+
+
 def _checked_grid(grid: np.ndarray, n: int) -> np.ndarray:
     """``grid``, a fresh float64 array, checked as the grid of n labels and
     with -0.0 made +0.0 in place; ValueError names the first rule broken."""
@@ -169,13 +179,14 @@ class FuzzyRelation:
     validates the carrier (nonempty, distinct labels of at most 1024
     characters of valid UTF-8 text with no leading or trailing whitespace,
     which CSV strips, and no carriage return, which CSV writes unquoted and
-    universal newlines turn into a line feed) and the grid (square, finite,
-    every entry in [0, 1]) and keeps a read-only copy of the grid, -0.0 made
-    +0.0.  A relation holds its labels, its read-only grid and the order
-    verdict of its last check (see :func:`check_order`); it builds its label
-    index and its :class:`Element` tuple on first use.  Operations never
-    mutate a relation; one they derive shares only its input's labels tuple
-    and owns the fresh array its grid was computed into.
+    universal newlines turn into a line feed) and the grid (real numbers,
+    not complex ones or text, square, finite, every entry in [0, 1]) and
+    keeps a read-only copy of the grid, -0.0 made +0.0.  A relation holds
+    its labels, its read-only grid and the order verdict of its last check
+    (see :func:`check_order`); it builds its label index and its
+    :class:`Element` tuple on first use.  Operations never mutate a
+    relation; one they derive shares only its input's labels tuple and owns
+    the fresh array its grid was computed into.
     """
 
     labels: tuple[str, ...]
@@ -188,7 +199,8 @@ class FuzzyRelation:
         error = _label_error(labels)
         if error is not None:
             raise ValueError(error[1])
-        self._freeze(labels, _checked_grid(np.array(self.grid, dtype=np.float64), len(labels)))
+        grid = np.array(_real_grades(self.grid), dtype=np.float64)
+        self._freeze(labels, _checked_grid(grid, len(labels)))
 
     def _freeze(self, labels, grid):
         # Adopts ``grid`` as it is, read-only from now on.
@@ -247,7 +259,7 @@ class FuzzyRelation:
     def with_value(self, x: ElementLike, y: ElementLike, value: float) -> "FuzzyRelation":
         """A copy of this relation with one entry replaced."""
         g = np.array(self.grid)
-        g[self.index_of(x), self.index_of(y)] = value
+        g[self.index_of(x), self.index_of(y)] = _real_grades(value)
         return FuzzyRelation._on_carrier_of(self.labels, _checked_grid(g, self.n))
 
     def tolists(self) -> list[list[float]]:

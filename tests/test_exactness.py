@@ -11,14 +11,12 @@ finds, so the same probe checks the package and flags every mutant in
 """
 
 import functools
-import sys
-import types
-from pathlib import Path
+import importlib
+import inspect
 
 import numpy as np
 import pytest
 
-import fuzzorder
 from fuzzorder import (
     FuzzyRelation,
     PreconditionError,
@@ -28,7 +26,6 @@ from fuzzorder import (
     linearize,
 )
 from fuzzorder import extension, matrixio, preserving, relation
-from fuzzorder.extension import _linear_grid
 
 from conftest import (
     ORDER3_GRID,
@@ -53,7 +50,8 @@ from genutil import (
 )
 
 # One-line mutants that each loosen one exact comparison in src/ by an
-# epsilon, by number: (module, exact source text, replacement).  A new exact
+# epsilon, by number: (module, exact source text, replacement).  The text
+# occurs once in its module, inside one function or method.  A new exact
 # comparison joins with the next number and a probe below that flags its
 # loosening.  A mutant whose source text is gone leaves, and its number is
 # not reused, so every other mutant keeps its test ID.
@@ -92,20 +90,23 @@ EXACTNESS_MUTANTS = {
         "(below[:, bottoms] > 0.0).argmax(axis=0)",
         "(below[:, bottoms] > 1e-12).argmax(axis=0)",
     ),
+    19: (
+        "relation",
+        "(grid == 0.0) & (grid.T == 0.0)",
+        "(np.abs(grid) <= 1e-12) & (np.abs(grid.T) <= 1e-12)",
+    ),
+    20: ("preserving", "positive = r.grid > 0.0", "positive = r.grid > 1e-12"),
+    21: ("preserving", "np.where(grid > beta, base,", "np.where(grid > beta + 1e-12, base,"),
+    22: ("matrixio", "cells[grid == 0.0] = 0", "cells[np.abs(grid) <= 1e-12] = 0"),
+    23: ("preserving", "if beta == 0.0:", "if beta <= 1e-12:"),
+    24: ("matrixio", "cells[grid == 1.0] = 1", "cells[np.abs(grid - 1.0) <= 1e-12] = 1"),
 }
 
-PACKAGE = types.SimpleNamespace(
-    relation=relation, extension=extension, preserving=preserving, matrixio=matrixio
-)
-
 GOLDENS = [
-    FuzzyRelation(labels, grid)
-    for labels, grid in [
-        (ORDER3_LABELS, ORDER3_GRID),
-        (ORDER4_LABELS, ORDER4_GRID),
-        (ORDER7_LABELS, ORDER7_GRID),
-        (ORDER7_LABELS, ORDER7_LINEAR_GRID),
-    ]
+    FuzzyRelation(ORDER3_LABELS, ORDER3_GRID),
+    FuzzyRelation(ORDER4_LABELS, ORDER4_GRID),
+    FuzzyRelation(ORDER7_LABELS, ORDER7_GRID),
+    FuzzyRelation(ORDER7_LABELS, ORDER7_LINEAR_GRID),
 ]
 
 
@@ -133,10 +134,10 @@ def _transitivity_witnesses(r, triples):
     )
 
 
-def _axiom_problems(lib, d, expected):
-    # Where lib.relation.check_order's verdict on the damaged order d differs
+def _axiom_problems(d, expected):
+    # Where check_order's verdict on the damaged order d differs
     # from the brute oracle's, or its witnesses from ``expected``.
-    report = lib.relation.check_order(d)
+    report = relation.check_order(d)
     got = (
         report.reflexivity_witnesses, report.antisymmetry_witnesses, report.transitivity_witnesses
     )
@@ -148,8 +149,8 @@ def _axiom_problems(lib, d, expected):
     return problems
 
 
-def damage_problems(lib, r, seed):
-    """What lib gets wrong on one-ulp damages of the tight order r."""
+def damage_problems(r, seed):
+    """What the package gets wrong on one-ulp damages of the tight order r."""
     rng = np.random.default_rng(seed)
     g, names, n = r.grid, r.labels, r.n
 
@@ -160,7 +161,7 @@ def damage_problems(lib, r, seed):
     # A diagonal entry one ulp below 1 breaks reflexivity alone.
     i = int(rng.integers(n))
     d = r.with_value(i, i, BELOW_ONE)
-    problems += _axiom_problems(lib, d, (((names[i], BELOW_ONE),), (), ()))
+    problems += _axiom_problems(d, (((names[i], BELOW_ONE),), (), ()))
 
     # The least subnormal on the reverse of a positive pair (i, j) breaks
     # antisymmetry, and transitivity through (j, i) wherever a 0 now lies
@@ -174,7 +175,7 @@ def damage_problems(lib, r, seed):
         anti = (((names[lo], names[hi]), float(d.grid[lo, hi]), float(d.grid[hi, lo])),)
         triples = [(j, i, z) for z in range(n) if g[i, z] > 0.0 and d.grid[j, z] == 0.0]
         triples += [(x, j, i) for x in range(n) if g[x, j] > 0.0 and d.grid[x, i] == 0.0]
-        problems += _axiom_problems(lib, d, ((), anti, _transitivity_witnesses(d, triples)))
+        problems += _axiom_problems(d, ((), anti, _transitivity_witnesses(d, triples)))
 
     # An entry r(x, z) that some min(r(x, y), r(y, z)) attains, one ulp lower,
     # breaks transitivity at exactly those y; so does such an entry of grade 1.
@@ -187,7 +188,7 @@ def damage_problems(lib, r, seed):
             x, z = entry
             d = r.with_value(x, z, np.nextafter(g[x, z], 0.0))
             triples = [(x, y, z) for y in attained(x, z)]
-            problems += _axiom_problems(lib, d, ((), (), _transitivity_witnesses(d, triples)))
+            problems += _axiom_problems(d, ((), (), _transitivity_witnesses(d, triples)))
 
     # A family member one ulp below r where it equals r breaks the infimum
     # there, and only there.
@@ -197,61 +198,64 @@ def damage_problems(lib, r, seed):
     lowered = np.nextafter(g[x, y], 0.0)
     family = [FuzzyRelation(names, m) for m in members]
     family[k] = family[k].with_value(x, y, lowered)
-    verdict = lib.preserving.verify_intersection(r, family)
+    verdict = preserving.verify_intersection(r, family)
     want = (((names[x], names[y]), float(lowered), float(g[x, y])),)
     if verdict.passed or verdict.witnesses != want:
         problems.append(f"verify_intersection gave {verdict} on a member lowered at {(x, y)}")
 
     # A linear extension one ulp below r somewhere does not extend r.
     hi = linearize(r).relation
-    if not lib.relation.extends(r, hi):
+    if not relation.extends(r, hi):
         problems.append("extends rejected a linearization")
-    if lib.relation.extends(r, hi.with_value(x, y, lowered)):
+    if relation.extends(r, hi.with_value(x, y, lowered)):
         problems.append(f"extends accepted an extension one ulp below r at {(x, y)}")
     return problems
 
 
 # The grade one ulp above 1, at (row 2, column 3) of the CSV document and
-# at (row 1, column 2) of the JSON one; the least subnormal, which is a grade.
+# at (row 1, column 2) of the JSON one; the least subnormal and the grade one
+# ulp below 1, which are grades.
 ABOVE_ONE_CSV = ",a,b\na,1,1.0000000000000002\nb,0,1\n"
 ABOVE_ONE_JSON = '{"elements": ["a", "b"], "matrix": [[1, 1.0000000000000002], [0, 1]]}'
 SUBNORMAL_CSV = ",a,b\na,1,5e-324\nb,0,1\n"
 SUBNORMAL_JSON = '{"elements": ["a", "b"], "matrix": [[1, 5e-324], [0, 1]]}'
+BELOW_ONE_CSV = ",a,b\na,1,0.9999999999999999\nb,0,1\n"
 
 
-def parse_problems(lib):
-    """What lib's parser and constructor get wrong on grades one ulp outside
+def parse_problems():
+    """What the parser and constructor get wrong on grades one ulp outside
     and inside [0, 1]."""
     problems = []
     for grade in (-LEAST_SUBNORMAL, ABOVE_ONE):
         try:
-            lib.relation.FuzzyRelation(("a", "b"), [[1.0, grade], [0.0, 1.0]])
+            relation.FuzzyRelation(("a", "b"), [[1.0, grade], [0.0, 1.0]])
             problems.append(f"the constructor accepted the grade {grade!r}")
         except ValueError:
             pass
     for text, where in ((ABOVE_ONE_CSV, (2, 3)), (ABOVE_ONE_JSON, (1, 2))):
         try:
-            lib.matrixio.parse_matrix(text)
+            matrixio.parse_matrix(text)
             problems.append(f"accepted {text!r}")
-        except lib.matrixio.ParseError as e:
+        except matrixio.ParseError as e:
             message = f"value 1.0000000000000002 outside [0, 1] (row {where[0]}, column {where[1]})"
             if str(e) != message or (e.row, e.col) != where:
                 problems.append(f"{text!r} raised {e!r}")
-    for text, fmt in ((SUBNORMAL_CSV, "csv"), (SUBNORMAL_JSON, "json")):
-        r = lib.matrixio.parse_matrix(text)
-        back = lib.matrixio.parse_matrix(lib.matrixio.emit_matrix(r, fmt), fmt)
-        if r.grid[0, 1] != LEAST_SUBNORMAL or back.grid.tobytes() != r.grid.tobytes():
-            problems.append(f"{text!r} did not parse and round-trip exactly")
+    for text in (SUBNORMAL_CSV, SUBNORMAL_JSON, BELOW_ONE_CSV):
+        r = matrixio.parse_matrix(text)
+        for fmt in ("csv", "json"):  # the grade's shortest repr is the text's cell
+            back = matrixio.parse_matrix(matrixio.emit_matrix(r, fmt), fmt)
+            if repr(r.grid[0, 1].item()) not in text or back.grid.tobytes() != r.grid.tobytes():
+                problems.append(f"{text!r} did not parse and round-trip exactly through {fmt}")
     return problems
 
 
-def rescan_problems(lib, orders):
-    """The tight orders whose "low" and "high" linearizations by lib differ
-    from the rescan reference in grid, pivots or raised entries."""
+def rescan_problems(orders):
+    """The orders whose "low" and "high" linearizations differ from the
+    rescan reference in grid, pivots or raised entries."""
     problems = []
     for r in orders:
         for policy, orient in (("low", lambda i, j: (i, j)), ("high", lambda i, j: (j, i))):
-            result = lib.extension.linearize(r, policy)
+            result = extension.linearize(r, policy)
             grid, steps = rescan_linearization(r.grid, r.labels, orient)
             got = [(s.a.index, s.b.index, s.entries_raised) for s in result.trace]
             if result.relation.grid.tobytes() != grid.tobytes() or got != steps:
@@ -259,74 +263,83 @@ def rescan_problems(lib, orders):
     return problems
 
 
-def clamp_problems(lib, orders):
-    """The positive pairs of the orders whose clamp by lib is not the
-    reference clamp of the order's linearization."""
+def clamp_problems(orders, grade=None):
+    """The off-diagonal pairs of the orders, of positive grade or else of
+    ``grade``, whose clamp is not the reference clamp on the rescan's "low"
+    linearization."""
     problems = []
     for r in orders:
-        base = _linear_grid(r.grid)
-        for i, j in np.argwhere(r.grid > 0.0).tolist():
-            if i == j:
-                continue
-            got = lib.preserving.clamp_extend(r, i, j).relation.grid
-            if got.tobytes() != reference_clamp(r.grid, base, i, j).tobytes():
+        base = rescan_linearization(r.grid)[0]
+        pairs = (r.grid > 0.0 if grade is None else r.grid == grade) & ~np.eye(r.n, dtype=bool)
+        for i, j in np.argwhere(pairs).tolist():
+            try:
+                got = preserving.clamp_extend(r, i, j).relation.grid.tobytes()
+            except PreconditionError as e:
+                got = e.reason
+            if got != reference_clamp(r.grid, base, i, j).tobytes():
                 problems.append(f"clamp of {r.labels} at {(i, j)} differs from the reference")
     return problems
 
 
-def subnormal_problems(lib, orders):
-    """The subnormal-regraded orders whose linearizations by lib differ from
-    the rescan, or whose certifying family by lib differs from the reference.
+def subnormal_problems(orders):
+    """The subnormal-regraded orders whose linearizations differ from the
+    rescan, whose clamps at the least subnormal differ from the reference
+    clamp, or whose certifying family differs from the reference or holds a
+    member that the brute oracle finds no order.
 
     A pair test that takes two grades within an epsilon for equal finds the
     least subnormal and 0 incomparable, and pivots a pair that is not; a
-    pivot precondition that takes it for 0 pivots against it."""
-    problems = rescan_problems(lib, orders)
+    pivot or clamp precondition that takes it for 0 refuses or ignores it."""
+    problems = rescan_problems(orders) + clamp_problems(orders, LEAST_SUBNORMAL)
     for r in orders:
         for b, a in np.argwhere(r.grid == LEAST_SUBNORMAL).tolist():
             try:
-                lib.extension.pivot_extend(r, a, b)
+                extension.pivot_extend(r, a, b)
                 problems.append(f"pivoted {r.labels[a]} above {r.labels[b]} against 5e-324")
             except PreconditionError as e:
                 if e.reason != "r(b,a)>0":
                     problems.append(f"pivot against 5e-324 raised {e.reason!r}")
-        got, want = lib.preserving.certifying_family(r), reference_family(r)
+        got, want = preserving.certifying_family(r), reference_family(r)
         if [(m.relation, m.tags) for m in got] != [(m.relation, m.tags) for m in want]:
             problems.append(f"certifying family of {r.labels} differs from the reference")
+        # reference_family calls the package's pair test; the oracle does not.
+        if not all(brute_check_order(m.relation) for m in got):
+            problems.append(f"certifying family of {r.labels} has a member that is not an order")
     return problems
 
 
-def probe(lib):
-    """The problems that the regrade and one-ulp probes find in lib, lazily."""
-    yield from parse_problems(lib)
-    for k, (r, s) in enumerate(zip(tight_orders(), tight_orders(subnormal_regrade))):
-        yield from rescan_problems(lib, [r])
-        yield from damage_problems(lib, r, seed=k)
-        yield from clamp_problems(lib, [r])
-        yield from subnormal_problems(lib, [s])
+def probe(orders):
+    """The problems the probes find on copies of the (tight, subnormal) pairs, lazily."""
+    yield from parse_problems()
+    for k, pair in enumerate(orders):
+        r, s = (FuzzyRelation(q.labels, q.grid) for q in pair)
+        yield from rescan_problems([r])
+        yield from damage_problems(r, seed=k)
+        yield from clamp_problems([r])
+        yield from subnormal_problems([s])
 
 
 def test_one_ulp_damages_meet_the_oracle_and_exact_witnesses():
     for k, r in enumerate(tight_orders()):
-        assert damage_problems(PACKAGE, r, seed=k) == []
+        assert damage_problems(r, seed=k) == []
 
 
 def test_grades_one_ulp_outside_and_inside_the_range():
-    assert parse_problems(PACKAGE) == []
+    assert parse_problems() == []
 
 
 def test_tight_orders_linearize_as_the_rescan_does():
     """Each probe finds nothing in the package, so what it finds in a mutant
     is the mutation's doing."""
-    assert rescan_problems(PACKAGE, tight_orders()) == []
+    assert rescan_problems(tight_orders()) == []
 
 
 def test_tight_orders_clamp_as_the_reference_does():
-    assert clamp_problems(PACKAGE, tight_orders()) == []
+    assert clamp_problems(tight_orders()) == []
 
 
 def test_subnormal_orders_linearize_and_certify_as_the_references_do():
-    assert subnormal_problems(PACKAGE, tight_orders(subnormal_regrade)) == []
+    assert subnormal_problems(tight_orders(subnormal_regrade)) == []
 
 
 def test_tight_regrades_meet_the_brute_oracle():
@@ -373,26 +386,30 @@ def test_alpha_cut_oracle_agrees_with_check_order(k):
     assert verdicts[0] and not all(verdicts)
 
 
-def _mutant(monkeypatch, name, text, replacement):
-    # The module fuzzorder.<name> with one source text replaced, compiled into
-    # a throwaway module whose relative imports bind to the real package.  It
-    # sits in sys.modules for the test, where dataclasses look it up.
-    path = Path(getattr(fuzzorder, name).__file__)
-    source = path.read_text(encoding="utf-8")
-    assert source.count(text) == 1, f"{text!r} must occur once in {path.name}"
-    module = types.ModuleType(f"fuzzorder._mutant_{name}")
-    module.__package__ = "fuzzorder"
-    monkeypatch.setitem(sys.modules, module.__name__, module)
-    exec(compile(source.replace(text, replacement), str(path), "exec"), module.__dict__)
-    return module
+def _mutant(monkeypatch, number):
+    # Swaps, until the test ends, the code of the one function or method of
+    # fuzzorder.<name> that holds the mutant's text for it compiled with the
+    # text replaced; each module, tuple or partial that holds it runs that.
+    name, text, replacement = EXACTNESS_MUTANTS[number]
+    module = importlib.import_module(f"fuzzorder.{name}")
+    source = inspect.getsource(module)
+    scopes = [module, *(c for _, c in inspect.getmembers(module, inspect.isclass))]
+    found = {fn for scope in scopes for _, fn in inspect.getmembers(scope, inspect.isfunction)
+             if fn.__code__.co_filename == module.__file__ and text in inspect.getsource(fn)}
+    assert len(found) == 1 == source.count(text), f"mutant {number}: text not in one function"
+    (fn,) = found
+    key = fn.__code__.co_name, fn.__code__.co_firstlineno
+    codes = [compile(source.replace(text, replacement), module.__file__, "exec")]
+    for code in codes:  # the module's code and every code object nested in it
+        codes += filter(inspect.iscode, code.co_consts)
+    code = next(c for c in codes if (c.co_name, c.co_firstlineno) == key)
+    monkeypatch.setattr(fn, "__code__", code)
 
 
 @pytest.mark.parametrize(
-    "name, text, replacement",
-    list(EXACTNESS_MUTANTS.values()),
-    ids=[f"{name}-{k}" for k, (name, _, _) in EXACTNESS_MUTANTS.items()],
+    "number", EXACTNESS_MUTANTS, ids=[f"{name}-{k}" for k, (name, *_) in EXACTNESS_MUTANTS.items()]
 )
-def test_probes_flag_every_exactness_mutant(monkeypatch, name, text, replacement):
-    lib = types.SimpleNamespace(**vars(PACKAGE))
-    setattr(lib, name, _mutant(monkeypatch, name, text, replacement))
-    assert next(probe(lib), None) is not None
+def test_probes_flag_every_exactness_mutant(monkeypatch, number):
+    orders = zip(tight_orders(), tight_orders(subnormal_regrade))  # cached before the mutant
+    _mutant(monkeypatch, number)
+    assert next(probe(orders), None) is not None

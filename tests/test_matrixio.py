@@ -1,6 +1,7 @@
 """CSV/JSON parsing, emission, and round-trip fidelity."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from fuzzorder import matrixio
 from fuzzorder import relation as relation_module
 
 from genutil import (
+    block_sum,
     block_sums,
     corpus,
     reference_emit_matrix,
@@ -176,6 +178,21 @@ def test_valid_documents_never_reach_the_per_cell_rescan(monkeypatch):
         parse_matrix(",a,b\na,1,\xa00\xa0\nb,0,1\n")
     with pytest.raises(_Rescanned):
         parse_matrix('{"elements":["a"],"matrix":[[true]]}')
+
+
+def test_parse_csv_writes_its_rows_into_one_grid():
+    """A CSV document's grades go straight into the grid, with no list of
+    float rows and no copy of it; the reader's cell strings stay."""
+    r = block_sum((12,) * 16)  # the n = 192 disjoint sum
+    text = emit_matrix(r, "csv")
+    tracemalloc.start()
+    try:
+        parsed = parse_matrix(text, "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == r
+    assert peak < 4.5 * r.grid.nbytes, (peak, r.grid.nbytes)
 
 
 @pytest.mark.parametrize("space", ["\u00a0", "\x1c", "\u2003"])

@@ -75,6 +75,29 @@ def test_construction_rejects_nan_and_infinity():
         FuzzyRelation(("a",), [[float("inf")]])
 
 
+def test_grades_must_be_real_numbers(order3):
+    """A complex grade is refused, not cut to its real part, and a text grade
+    is refused, not read with float(), which takes " 1" and non-ASCII digits;
+    by the constructor and by with_value alike."""
+    complex_grids = ([[1 + 0.5j]], np.array([[1 + 0j]]))
+    text_grids = ([["1"]], [[" 1"]], [["\u0661"]], [[b"1"]])
+    for grid in (*complex_grids, *text_grids, np.zeros((1, 1), dtype="f8,f8")):
+        with pytest.raises(ValueError, match="grades must be real numbers"):
+            FuzzyRelation(("a",), grid)
+    for value in (0.5 + 0.5j, np.complex128(0.5), "0.5", " 1"):
+        with pytest.raises(ValueError, match="grades must be real numbers"):
+            order3.with_value("a", "c", value)
+    source = np.random.default_rng(0).random((192, 192))
+    tracemalloc.start()
+    try:
+        r = FuzzyRelation(tuple(f"e{i}" for i in range(192)), source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * source.nbytes, (peak, source.nbytes)  # one copy of a numeric array
+    assert r.grid.tobytes() == source.tobytes() and not np.shares_memory(r.grid, source)
+
+
 def test_construction_rejects_bad_labels():
     with pytest.raises(ValueError, match="distinct"):
         FuzzyRelation(("a", "a"), [[1, 0], [0, 1]])
