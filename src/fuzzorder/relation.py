@@ -199,7 +199,10 @@ class FuzzyRelation:
         error = _label_error(labels)
         if error is not None:
             raise ValueError(error[1])
-        grid = np.array(_real_grades(self.grid), dtype=np.float64)
+        # np.asarray builds a fresh array from a list or tuple; any other
+        # input may share the caller's memory, so that one is copied.
+        grades = _real_grades(self.grid)
+        grid = grades.astype(np.float64, copy=not isinstance(self.grid, (list, tuple)))
         self._freeze(labels, _checked_grid(grid, len(labels)))
 
     def _freeze(self, labels, grid):

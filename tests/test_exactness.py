@@ -240,11 +240,11 @@ def parse_problems():
             message = f"value 1.0000000000000002 outside [0, 1] (row {where[0]}, column {where[1]})"
             if str(e) != message or (e.row, e.col) != where:
                 problems.append(f"{text!r} raised {e!r}")
-    for text in (SUBNORMAL_CSV, SUBNORMAL_JSON, BELOW_ONE_CSV):
+    for text, grade in (SUBNORMAL_CSV, LEAST_SUBNORMAL), (SUBNORMAL_JSON, LEAST_SUBNORMAL), (BELOW_ONE_CSV, BELOW_ONE):
         r = matrixio.parse_matrix(text)
-        for fmt in ("csv", "json"):  # the grade's shortest repr is the text's cell
+        for fmt in ("csv", "json"):
             back = matrixio.parse_matrix(matrixio.emit_matrix(r, fmt), fmt)
-            if repr(r.grid[0, 1].item()) not in text or back.grid.tobytes() != r.grid.tobytes():
+            if r.grid[0, 1] != grade or back.grid.tobytes() != r.grid.tobytes():
                 problems.append(f"{text!r} did not parse and round-trip exactly through {fmt}")
     return problems
 

@@ -88,14 +88,16 @@ def test_grades_must_be_real_numbers(order3):
         with pytest.raises(ValueError, match="grades must be real numbers"):
             order3.with_value("a", "c", value)
     source = np.random.default_rng(0).random((192, 192))
-    tracemalloc.start()
-    try:
-        r = FuzzyRelation(tuple(f"e{i}" for i in range(192)), source)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * source.nbytes, (peak, source.nbytes)  # one copy of a numeric array
-    assert r.grid.tobytes() == source.tobytes() and not np.shares_memory(r.grid, source)
+    labels = tuple(f"e{i}" for i in range(192))
+    for grid in (source, source.tolist()):  # one copy of a numeric array or list
+        tracemalloc.start()
+        try:
+            r = FuzzyRelation(labels, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * source.nbytes, (type(grid), peak, source.nbytes)
+        assert r.grid.tobytes() == source.tobytes() and not np.shares_memory(r.grid, source)
 
 
 def test_construction_rejects_bad_labels():
