@@ -244,13 +244,20 @@ def _manifest_paths(manifest: Path, inside) -> list[Path]:
 def _read_family_dir(directory: Path, labels):
     # The members listed in or found in ``directory``, each on the carrier
     # ``labels``; a ParseError names the first member that fails.
-    root = directory.resolve()
+    def resolved(path: Path, what: str) -> Path:
+        try:
+            return path.resolve()
+        except RuntimeError as exc:  # a symlink loop, before Python 3.13
+            raise ParseError(f"{what} cannot be resolved: {exc}") from None
+
+    root = resolved(directory, f"family directory {directory}")
 
     def inside(name: str, where: str) -> Path:
         # The directory's file ``name``, resolved through any symlink; a
-        # ParseError positioned at ``where`` when it lies outside the directory
-        # or is not a regular file (reading a named pipe would block).
-        path = (root / name).resolve()
+        # ParseError positioned at ``where`` when it cannot be resolved, lies
+        # outside the directory or is not a regular file (reading a named pipe
+        # would block).
+        path = resolved(root / name, f"{where}file {name!r}")
         if Path(name).is_absolute() or not path.is_relative_to(root):
             raise ParseError(f"{where}file {name!r} lies outside {directory}")
         if path.is_dir():

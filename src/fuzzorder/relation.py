@@ -149,9 +149,13 @@ def _label_error(labels) -> tuple[int, str] | None:
 def _real_grades(grades) -> np.ndarray:
     """``grades`` as an array, not copied if it is one; ValueError unless they
     are real numbers.  NumPy would drop an imaginary part (with a warning
-    only) and read text with float(), which takes " 1" and non-ASCII digits."""
+    only) and read text with float(), which takes " 1" and non-ASCII digits,
+    also from the elements of an object array."""
     grades = np.asarray(grades)
-    if grades.dtype.kind in "cSUV":  # complex, bytes, text, structured
+    if grades.dtype.kind in "cSUV" or (  # complex, bytes, text, structured
+        grades.dtype.kind == "O"
+        and any(isinstance(v, (str, bytes, complex, np.complexfloating)) for v in grades.flat)
+    ):
         raise ValueError("grades must be real numbers")
     return grades
 

@@ -70,6 +70,13 @@ ORDER7_LINEAR_GRID = [
     [0, 0, 0, 0, 0, 0.20, 1],
 ]
 
+# Each golden grid with its labels, by fixture name.
+GOLDEN_GRIDS = {
+    "order3": (ORDER3_LABELS, ORDER3_GRID), "order3_linear": (ORDER3_LABELS, ORDER3_LINEAR_GRID),
+    "order4": (ORDER4_LABELS, ORDER4_GRID), "order4_linear": (ORDER4_LABELS, ORDER4_LINEAR_GRID),
+    "order7": (ORDER7_LABELS, ORDER7_GRID), "order7_linear": (ORDER7_LABELS, ORDER7_LINEAR_GRID),
+}
+
 
 def identity_relation(n, labels=None):
     labels = labels or tuple(f"x{i + 1}" for i in range(n))

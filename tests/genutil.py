@@ -16,13 +16,17 @@ from fuzzorder import (
     GeneratorSpec,
     Pair,
     ParseError,
+    PivotStep,
+    PreconditionError,
     certifying_family,
+    clamp_extend,
+    linearize,
     random_zadeh_order,
     verify_intersection,
 )
 from fuzzorder.extension import _linear_grid
 from fuzzorder.matrixio import _read_json, detect_format
-from fuzzorder.relation import _incomparable, _label_error
+from fuzzorder.relation import _label_error
 
 CORPUS_DENSITIES = (0.0, 0.3, 0.5, 0.7, 1.0)
 
@@ -103,26 +107,42 @@ def poset_orders(max_n: int) -> list[FuzzyRelation]:
     ]
 
 
-def rescan_linearization(grid: np.ndarray, labels=None, orient=lambda i, j: (i, j)):
+def zero_pairs(grid: np.ndarray) -> np.ndarray:
+    """The pairs (i, j), i < j, of grade 0 both ways, tested apart from the package."""
+    return np.triu((grid == 0.0) & (grid.T == 0.0), k=1)
+
+
+def orientation(r: FuzzyRelation, policy):
+    """The pivot that ``policy`` puts on the incomparable pair {i, j}, i < j,
+    of r, as a function of (i, j): "low" puts i above j, "high" j above i,
+    and a list of (a, b) element references puts a above b, i above j for
+    an unlisted pair."""
+    if policy == "low":
+        return lambda i, j: (i, j)
+    if policy == "high":
+        return lambda i, j: (j, i)
+    above = {(r.index_of(a), r.index_of(b)) for a, b in policy}
+    return lambda i, j: (j, i) if (j, i) in above else (i, j)
+
+
+def rescan_linearization(r: FuzzyRelation, policy="low"):
     """Reference pivot loop: pivot on the whole grid, then rescan the whole mask.
 
-    At the row-major first incomparable pair (i, j) it pivots orient(i, j) on
-    the full grid and starts over.  Returns the final grid and, per pivot,
-    ``(a, b, raised)``: raised lists every strictly increased entry as
-    ``((labels[x], labels[y]), old, new)`` in row-major order (indices when
-    ``labels`` is None).
+    At the row-major first incomparable pair (i, j) it pivots
+    ``orientation(r, policy)(i, j)`` on the full grid and starts over.
+    Returns the final grid and, per pivot, ``(a, b, raised)``: raised lists
+    every strictly increased entry as ``((labels[x], labels[y]), old, new)``
+    in row-major order.
     """
-    names = labels or range(len(grid))
-    grid = np.array(grid)
-    steps = []
+    grid, orient, steps = np.array(r.grid), orientation(r, policy), []
     while True:
-        zero = np.triu((grid == 0.0) & (grid.T == 0.0), k=1)
+        zero = zero_pairs(grid)
         if not zero.any():
             return grid, steps
         a, b = orient(*divmod(int(zero.argmax()), len(grid)))
         new = np.maximum(grid, np.minimum.outer(grid[:, a], grid[b, :]))
         raised = tuple(
-            ((names[x], names[y]), float(grid[x, y]), float(new[x, y]))
+            ((r.labels[x], r.labels[y]), float(grid[x, y]), float(new[x, y]))
             for x, y in np.argwhere(new > grid)
         )
         steps.append((a, b, raised))
@@ -144,17 +164,10 @@ def closure_linearization(r: FuzzyRelation, policy="low"):
     ``(a, b)`` index pairs.  It shares no update formula with the library's
     linearization loop or with ``rescan_linearization``.
     """
-    if policy == "low":
-        orient = lambda i, j: (i, j)
-    elif policy == "high":
-        orient = lambda i, j: (j, i)
-    else:
-        above = {(r.index_of(a), r.index_of(b)) for a, b in policy}
-        orient = lambda i, j: (j, i) if (j, i) in above else (i, j)
-    s, upper = r.grid > 0.0, np.triu(np.ones((r.n, r.n), dtype=bool), k=1)
-    pivots = []
+    orient = orientation(r, policy)
+    s, pivots = r.grid > 0.0, []
     while True:
-        free = upper & ~(s | s.T)  # the incomparable pairs {i, j}, i < j
+        free = zero_pairs(s)  # the incomparable pairs {i, j}, i < j
         first = int(free.argmax())
         if not free.flat[first]:
             break
@@ -171,8 +184,28 @@ def closure_linearization(r: FuzzyRelation, policy="low"):
 
 @functools.cache
 def low_rescan(r: FuzzyRelation):
-    """``rescan_linearization(r.grid, r.labels)``, the "low" reference, once per relation."""
-    return rescan_linearization(r.grid, r.labels)
+    """``rescan_linearization(r)``, the "low" reference, once per relation; it
+    calls no package code, so no exactness mutant can alter it."""
+    return rescan_linearization(r)
+
+
+def linearize_problems(r: FuzzyRelation, policy="low") -> list[str]:
+    """Where ``linearize(r, policy)`` differs from the rescan reference: the
+    grid bit for bit; the steps, unread, against steps built from the rescan's
+    pivots, indices and raised entries; k; m against the reference pair test
+    (r has a unit diagonal); and under "low" also ``_linear_grid``."""
+    result = linearize(r, policy)
+    grid, steps = low_rescan(r) if policy == "low" else rescan_linearization(r, policy)
+    eager = [PivotStep(r.element(a), r.element(b), k, e) for k, (a, b, e) in enumerate(steps, 1)]
+    km, want = (result.k, result.m), (len(steps), 2 * int(zero_pairs(r.grid).sum()))
+    checks = {
+        "grid differs from the rescan's": result.relation.grid.tobytes() != grid.tobytes(),
+        "steps differ from the rescan's": list(result.trace) != eager,  # steps still unread
+        f"(k, m) = {km}, not {want}": km != want,
+        "_linear_grid differs from the rescan's": policy == "low"
+        and _linear_grid(r.grid).tobytes() != grid.tobytes(),
+    }
+    return [f"{policy!r} linearization of {r.labels}: {p}" for p, bad in checks.items() if bad]
 
 
 def tight_regrade(r: FuzzyRelation, least: float | None = None) -> FuzzyRelation:
@@ -237,7 +270,7 @@ def reference_family(r: FuzzyRelation) -> ExtensionFamily:
     """
     labels = r.labels
     positives = [(i, j) for i, j in np.argwhere(r.grid > 0.0) if i != j]
-    incomparables = np.argwhere(_incomparable(r.grid))
+    incomparables = np.argwhere(zero_pairs(r.grid))
     if not len(incomparables):
         tags = tuple(f"preserves({labels[i]},{labels[j]})" for i, j in positives)
         return ExtensionFamily((FamilyMember(r, tags),))
@@ -261,6 +294,42 @@ def reference_clamp(grid: np.ndarray, base: np.ndarray, i: int, j: int) -> np.nd
     keeps beta there, else base capped at beta wherever grid is at most beta."""
     beta = grid[i, j]
     return base if base[i, j] == beta else np.where(grid > beta, base, np.minimum(beta, base))
+
+
+def family_problems(r: FuzzyRelation) -> list[str]:
+    """Where ``certifying_family(r)`` differs from ``reference_family(r)``:
+    the members' tags, labels and grids bit for bit; ``built``, one member per
+    certificate before merging (one for a linear r, its own family); the
+    intersection verdict; and, for a nonlinear r, the first member, which is
+    r's "low" linearization tagged like the reference's first member."""
+    family, reference = certifying_family(r), reference_family(r)
+    shape = lambda f: [(m.tags, m.relation.labels, m.relation.grid.tobytes()) for m in f]
+    linear = not zero_pairs(r.grid).any()
+    head, first = family.members[0], reference.members[0]
+    checks = {
+        "differs from the reference": shape(family) != shape(reference),
+        f"built {family.built}": family.built != (1 if linear else family.certificate_count),
+        "does not intersect to r": not verify_intersection(r, family),
+        "does not start with r's linearization": not linear
+        and (head.relation, head.tags[0]) != (linearize(r).relation, first.tags[0]),
+    }
+    return [f"certifying family of {r.labels} {p}" for p, bad in checks.items() if bad]
+
+
+def clamp_problems(r: FuzzyRelation, grade=None) -> list[str]:
+    """The off-diagonal pairs of r, of positive grade or else of ``grade``,
+    whose ``clamp_extend`` differs from ``reference_clamp`` on the "low"
+    rescan base: in the grid bit for bit, or by raising PreconditionError."""
+    base, problems = low_rescan(r)[0], []
+    pairs = (r.grid > 0.0 if grade is None else r.grid == grade) & ~np.eye(r.n, dtype=bool)
+    for i, j in np.argwhere(pairs).tolist():
+        try:
+            got = clamp_extend(r, i, j).relation.grid.tobytes()
+        except PreconditionError as e:
+            got = e.reason
+        if got != reference_clamp(r.grid, base, i, j).tobytes():
+            problems.append(f"clamp of {r.labels} at {(i, j)} differs from the reference")
+    return problems
 
 
 def corrupt(r: FuzzyRelation, rng: np.random.Generator) -> FuzzyRelation:
@@ -342,8 +411,7 @@ def reference_support_flags(support: np.ndarray) -> np.ndarray:
 def reference_incomparable_pairs(r: FuzzyRelation) -> list[Pair]:
     """Reference pair list: one Pair per ``argwhere`` row of the mask."""
     elems = r.elements
-    mask = np.triu((r.grid == 0.0) & (r.grid.T == 0.0), k=1)
-    return [Pair(elems[i], elems[j]) for i, j in np.argwhere(mask)]
+    return [Pair(elems[i], elems[j]) for i, j in np.argwhere(zero_pairs(r.grid))]
 
 
 def reference_value(v) -> object:

@@ -14,18 +14,7 @@ from fuzzorder import FuzzyRelation, emit_matrix, linearize, load_matrix, parse_
 from fuzzorder.matrixio import detect_format
 from fuzzorder.cli import build_parser, run_command
 
-from conftest import (
-    FIXTURES,
-    ORDER3_GRID,
-    ORDER3_LABELS,
-    ORDER3_LINEAR_GRID,
-    ORDER4_GRID,
-    ORDER4_LABELS,
-    ORDER4_LINEAR_GRID,
-    ORDER7_GRID,
-    ORDER7_LABELS,
-    ORDER7_LINEAR_GRID,
-)
+from conftest import FIXTURES, GOLDEN_GRIDS
 from genutil import reference_incomparable_pairs
 
 REPORT_KEYS = {"command", "verdicts", "witnesses", "trace", "family", "timing"}
@@ -60,13 +49,6 @@ def test_check_corrupted_exits_one_with_witness(corrupted_file, capsys):
 def test_check_linear_file(capsys):
     assert run_command(["check", str(FIXTURES / "order7_linear.csv")]) == 0
     assert "linear: yes; incomparable pairs: 0" in capsys.readouterr().out
-
-
-GOLDEN_GRIDS = {
-    "order3": (ORDER3_LABELS, ORDER3_GRID), "order3_linear": (ORDER3_LABELS, ORDER3_LINEAR_GRID),
-    "order4": (ORDER4_LABELS, ORDER4_GRID), "order4_linear": (ORDER4_LABELS, ORDER4_LINEAR_GRID),
-    "order7": (ORDER7_LABELS, ORDER7_GRID), "order7_linear": (ORDER7_LABELS, ORDER7_LINEAR_GRID),
-}
 
 
 def test_check_reports_the_argwhere_pair_list_on_goldens_and_fixtures(tmp_path, capsys):
@@ -342,6 +324,27 @@ def test_verify_symlinks_inside_the_directory_are_read(tmp_path):
     _write(fam_dir / "listing.json", json.dumps({"members": [{"file": "m.csv"}]}))
     (fam_dir / "family.json").symlink_to("listing.json")
     assert run_command(["verify", ORDER3, "--family", str(fam_dir)]) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symlinks on this platform")
+@pytest.mark.parametrize("loop", ["manifest-entry", "listed-member", "family-directory"])
+def test_verify_symlink_loop_exits_two(tmp_path, capsys, loop):
+    """A member or family directory that loops back to itself is a positioned
+    error, not a traceback."""
+    fam_dir = tmp_path / "fam"
+    if loop == "family-directory":
+        fam_dir.symlink_to("fam")
+        named = str(fam_dir)
+    elif loop == "manifest-entry":
+        _write(fam_dir / "family.json", json.dumps({"members": [{"file": "b.csv"}]}))
+        (fam_dir / "b.csv").symlink_to("b.csv")
+        named = f"{fam_dir / 'family.json'}: member 1 file 'b.csv'"
+    else:
+        fam_dir.mkdir()
+        (fam_dir / "a.csv").symlink_to("a.csv")
+        named = f"{fam_dir}: file 'a.csv'"
+    assert run_command(["verify", ORDER3, "--family", str(fam_dir)]) == 2
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")

@@ -27,24 +27,16 @@ from fuzzorder import (
 )
 from fuzzorder import extension, matrixio, preserving, relation
 
-from conftest import (
-    ORDER3_GRID,
-    ORDER3_LABELS,
-    ORDER4_GRID,
-    ORDER4_LABELS,
-    ORDER7_GRID,
-    ORDER7_LABELS,
-    ORDER7_LINEAR_GRID,
-)
+from conftest import GOLDEN_GRIDS
 from genutil import (
     alpha_cut_is_order,
     block_sum,
     block_sums,
+    clamp_problems,
     corpus,
     corrupt,
-    reference_clamp,
-    reference_family,
-    rescan_linearization,
+    family_problems,
+    linearize_problems,
     subnormal_regrade,
     tight_regrade,
 )
@@ -103,10 +95,7 @@ EXACTNESS_MUTANTS = {
 }
 
 GOLDENS = [
-    FuzzyRelation(ORDER3_LABELS, ORDER3_GRID),
-    FuzzyRelation(ORDER4_LABELS, ORDER4_GRID),
-    FuzzyRelation(ORDER7_LABELS, ORDER7_GRID),
-    FuzzyRelation(ORDER7_LABELS, ORDER7_LINEAR_GRID),
+    FuzzyRelation(*GOLDEN_GRIDS[name]) for name in ("order3", "order4", "order7", "order7_linear")
 ]
 
 
@@ -249,62 +238,27 @@ def parse_problems():
     return problems
 
 
-def rescan_problems(orders):
-    """The orders whose "low" and "high" linearizations differ from the
-    rescan reference in grid, pivots or raised entries."""
-    problems = []
-    for r in orders:
-        for policy, orient in (("low", lambda i, j: (i, j)), ("high", lambda i, j: (j, i))):
-            result = extension.linearize(r, policy)
-            grid, steps = rescan_linearization(r.grid, r.labels, orient)
-            got = [(s.a.index, s.b.index, s.entries_raised) for s in result.trace]
-            if result.relation.grid.tobytes() != grid.tobytes() or got != steps:
-                problems.append(f"{policy!r} linearization of {r.labels} differs from the rescan")
-    return problems
-
-
-def clamp_problems(orders, grade=None):
-    """The off-diagonal pairs of the orders, of positive grade or else of
-    ``grade``, whose clamp is not the reference clamp on the rescan's "low"
-    linearization."""
-    problems = []
-    for r in orders:
-        base = rescan_linearization(r.grid)[0]
-        pairs = (r.grid > 0.0 if grade is None else r.grid == grade) & ~np.eye(r.n, dtype=bool)
-        for i, j in np.argwhere(pairs).tolist():
-            try:
-                got = preserving.clamp_extend(r, i, j).relation.grid.tobytes()
-            except PreconditionError as e:
-                got = e.reason
-            if got != reference_clamp(r.grid, base, i, j).tobytes():
-                problems.append(f"clamp of {r.labels} at {(i, j)} differs from the reference")
-    return problems
-
-
-def subnormal_problems(orders):
-    """The subnormal-regraded orders whose linearizations differ from the
-    rescan, whose clamps at the least subnormal differ from the reference
-    clamp, or whose certifying family differs from the reference or holds a
-    member that the brute oracle finds no order.
+def subnormal_problems(r):
+    """Where the linearizations of the subnormal-regraded order r differ from
+    the rescan, its clamps at the least subnormal from the reference clamp, or
+    its certifying family from the reference; and a pivot against the least
+    subnormal or a family member that the brute oracle finds no order.
 
     A pair test that takes two grades within an epsilon for equal finds the
     least subnormal and 0 incomparable, and pivots a pair that is not; a
     pivot or clamp precondition that takes it for 0 refuses or ignores it."""
-    problems = rescan_problems(orders) + clamp_problems(orders, LEAST_SUBNORMAL)
-    for r in orders:
-        for b, a in np.argwhere(r.grid == LEAST_SUBNORMAL).tolist():
-            try:
-                extension.pivot_extend(r, a, b)
-                problems.append(f"pivoted {r.labels[a]} above {r.labels[b]} against 5e-324")
-            except PreconditionError as e:
-                if e.reason != "r(b,a)>0":
-                    problems.append(f"pivot against 5e-324 raised {e.reason!r}")
-        got, want = preserving.certifying_family(r), reference_family(r)
-        if [(m.relation, m.tags) for m in got] != [(m.relation, m.tags) for m in want]:
-            problems.append(f"certifying family of {r.labels} differs from the reference")
-        # reference_family calls the package's pair test; the oracle does not.
-        if not all(brute_check_order(m.relation) for m in got):
-            problems.append(f"certifying family of {r.labels} has a member that is not an order")
+    problems = [p for policy in extension.POLICIES for p in linearize_problems(r, policy)]
+    problems += clamp_problems(r, LEAST_SUBNORMAL) + family_problems(r)
+    for b, a in np.argwhere(r.grid == LEAST_SUBNORMAL).tolist():
+        try:
+            extension.pivot_extend(r, a, b)
+            problems.append(f"pivoted {r.labels[a]} above {r.labels[b]} against 5e-324")
+        except PreconditionError as e:
+            if e.reason != "r(b,a)>0":
+                problems.append(f"pivot against 5e-324 raised {e.reason!r}")
+    # reference_family calls the package's _linear_grid; the oracle does not.
+    if not all(brute_check_order(m.relation) for m in preserving.certifying_family(r)):
+        problems.append(f"certifying family of {r.labels} has a member that is not an order")
     return problems
 
 
@@ -313,10 +267,11 @@ def probe(orders):
     yield from parse_problems()
     for k, pair in enumerate(orders):
         r, s = (FuzzyRelation(q.labels, q.grid) for q in pair)
-        yield from rescan_problems([r])
+        for policy in extension.POLICIES:
+            yield from linearize_problems(r, policy)
         yield from damage_problems(r, seed=k)
-        yield from clamp_problems([r])
-        yield from subnormal_problems([s])
+        yield from clamp_problems(r)
+        yield from subnormal_problems(s)
 
 
 def test_one_ulp_damages_meet_the_oracle_and_exact_witnesses():
@@ -331,15 +286,16 @@ def test_grades_one_ulp_outside_and_inside_the_range():
 def test_tight_orders_linearize_as_the_rescan_does():
     """Each probe finds nothing in the package, so what it finds in a mutant
     is the mutation's doing."""
-    assert rescan_problems(tight_orders()) == []
+    for r in tight_orders():
+        assert [p for policy in extension.POLICIES for p in linearize_problems(r, policy)] == []
 
 
 def test_tight_orders_clamp_as_the_reference_does():
-    assert clamp_problems(tight_orders()) == []
+    assert [p for r in tight_orders() for p in clamp_problems(r)] == []
 
 
 def test_subnormal_orders_linearize_and_certify_as_the_references_do():
-    assert subnormal_problems(tight_orders(subnormal_regrade)) == []
+    assert [p for s in tight_orders(subnormal_regrade) for p in subnormal_problems(s)] == []
 
 
 def test_tight_regrades_meet_the_brute_oracle():

@@ -29,7 +29,7 @@ from fuzzorder import (
 
 from fuzzorder import extension
 from fuzzorder.cli import run_command
-from fuzzorder.extension import _linear_grid, _raise_block, _runs
+from fuzzorder.extension import _raise_block, _runs
 from fuzzorder.relation import _incomparable
 
 from conftest import (
@@ -50,10 +50,11 @@ from genutil import (
     block_sums,
     closure_linearization,
     corpus,
+    linearize_problems,
     low_rescan,
+    orientation,
     poset_orders,
     reference_pivot,
-    rescan_linearization,
     subnormal_regrade,
     tight_regrade,
 )
@@ -269,22 +270,14 @@ def test_every_pivot_reduces_incomparable_pairs(order7):
 
 def _policies(r):
     # "low", "high", and an override list reversing every other "low" pivot
-    overrides = [(step.b.label, step.a.label) for step in linearize(r).trace[::2]]
-    flipped = set(overrides)
-    return [
-        ("low", lambda i, j: (i, j)),
-        ("high", lambda i, j: (j, i)),
-        (overrides, lambda i, j: (j, i) if (r.labels[j], r.labels[i]) in flipped else (i, j)),
-    ]
+    return ["low", "high", [(step.b.label, step.a.label) for step in linearize(r).trace[::2]]]
 
 
 def _random_flips(r, seed):
-    # An override list flipping each incomparable pair with probability 1/2,
-    # and its orientation for the rescan
+    # An override list flipping each incomparable pair with probability 1/2
     coins = np.random.default_rng(seed).random(r.n * r.n) < 0.5
     flipped = {(j, i) for i, j in np.argwhere(_incomparable(r.grid)).tolist() if coins[i * r.n + j]}
-    overrides = [(r.labels[a], r.labels[b]) for a, b in sorted(flipped)]
-    return overrides, lambda i, j: (j, i) if (j, i) in flipped else (i, j)
+    return [(r.labels[a], r.labels[b]) for a, b in sorted(flipped)]
 
 
 def test_linearize_matches_the_closure_oracle(order3, order4, order7):
@@ -296,7 +289,7 @@ def test_linearize_matches_the_closure_oracle(order3, order4, order7):
     cases = [(o, True) for o in (order3, order4, order7, *block_sums()[:6])]
     cases += [(o, False) for o in (*corpus(300, max_n=12), *poset_orders(4))]
     for o, flips in cases:
-        policies = ["low", "high", _random_flips(o, o.n)[0]] if flips else ["low", "high"]
+        policies = ["low", "high", _random_flips(o, o.n)] if flips else ["low", "high"]
         # a 0/1 order is its own regrade: each distinct relation once
         for r in dict.fromkeys((o, tight_regrade(o), subnormal_regrade(o))):
             support = FuzzyRelation(r.labels, (r.grid > 0.0).astype(float))
@@ -308,24 +301,8 @@ def test_linearize_matches_the_closure_oracle(order3, order4, order7):
                 assert [(s.a.index, s.b.index) for s in linearize(support, policy).trace] == pivots
 
 
-def _assert_policy_matches_rescan(r, policy, orient):
-    result = linearize(r, policy)
-    grid, steps = low_rescan(r) if policy == "low" else rescan_linearization(r.grid, r.labels, orient)
-    assert result.relation.grid.tobytes() == grid.tobytes()
-    if policy == "low":
-        assert _linear_grid(r.grid).tobytes() == grid.tobytes()
-    eager = [
-        PivotStep(r.element(a), r.element(b), k, entries)
-        for k, (a, b, entries) in enumerate(steps, start=1)
-    ]
-    assert eager == list(result.trace)  # meets steps whose entries nobody has read yet
-    assert result.k == len(steps)
-    assert result.m == int(((r.grid == 0.0) & (r.grid.T == 0.0)).sum())  # unit diagonal
-
-
-def _assert_matches_rescan(r):
-    for policy, orient in _policies(r):
-        _assert_policy_matches_rescan(r, policy, orient)
+def _rescan_problems(r):
+    return [p for policy in _policies(r) for p in linearize_problems(r, policy)]
 
 
 GOLDENS = [(ORDER3_LABELS, ORDER3_GRID), (ORDER4_LABELS, ORDER4_GRID), (ORDER7_LABELS, ORDER7_GRID)]
@@ -333,12 +310,12 @@ GOLDENS = [(ORDER3_LABELS, ORDER3_GRID), (ORDER4_LABELS, ORDER4_GRID), (ORDER7_L
 
 @pytest.mark.parametrize("labels, grid", GOLDENS)
 def test_linearize_matches_rescan_on_goldens(labels, grid):
-    _assert_matches_rescan(FuzzyRelation(labels, grid))
+    assert _rescan_problems(FuzzyRelation(labels, grid)) == []
 
 
 def test_linearize_matches_rescan_on_corpus():
     for r in corpus(300, max_n=12):
-        _assert_matches_rescan(r)
+        assert _rescan_problems(r) == []
 
 
 BLOCK_SIZES = [(5, 7), (12, 12, 12, 12), (12,) * 8]
@@ -347,30 +324,30 @@ BLOCK_SIZES = [(5, 7), (12, 12, 12, 12), (12,) * 8]
 @pytest.mark.parametrize("ordinal", [False, True])
 @pytest.mark.parametrize("sizes", BLOCK_SIZES)
 def test_linearize_matches_rescan_on_block_sums(sizes, ordinal):
-    _assert_matches_rescan(block_sum(sizes, ordinal, seed=500))
+    assert _rescan_problems(block_sum(sizes, ordinal, seed=500)) == []
 
 
 @pytest.mark.parametrize("labels, grid", GOLDENS)
 def test_linearize_matches_rescan_on_tight_goldens(labels, grid):
     """Grades one ulp apart: a comparison loosened by any epsilon breaks the match."""
-    _assert_matches_rescan(tight_regrade(FuzzyRelation(labels, grid)))
+    assert _rescan_problems(tight_regrade(FuzzyRelation(labels, grid))) == []
 
 
 def test_linearize_matches_rescan_on_tight_corpus():
     for r in corpus(300, max_n=12):
-        _assert_matches_rescan(tight_regrade(r))
+        assert _rescan_problems(tight_regrade(r)) == []
 
 
 @pytest.mark.parametrize("ordinal", [False, True])
 @pytest.mark.parametrize("sizes", BLOCK_SIZES)
 def test_linearize_matches_rescan_on_tight_block_sums(sizes, ordinal):
-    _assert_matches_rescan(tight_regrade(block_sum(sizes, ordinal, seed=500)))
+    assert _rescan_problems(tight_regrade(block_sum(sizes, ordinal, seed=500))) == []
 
 
 def test_linearize_matches_rescan_under_random_flips_on_corpus():
     """Flipping pairs at random splits the cursor's runs at arbitrary points."""
     for k, r in enumerate(corpus(300, max_n=12)):
-        _assert_policy_matches_rescan(r, *_random_flips(r, seed=k))
+        assert linearize_problems(r, _random_flips(r, seed=k)) == []
 
 
 @pytest.mark.parametrize("ordinal", [False, True])
@@ -378,13 +355,13 @@ def test_linearize_matches_rescan_under_random_flips_on_corpus():
 def test_linearize_matches_rescan_under_random_flips_on_block_sums(sizes, ordinal):
     r = block_sum(sizes, ordinal, seed=500)
     for seed in (1, 2):
-        _assert_policy_matches_rescan(r, *_random_flips(r, seed))
+        assert linearize_problems(r, _random_flips(r, seed)) == []
 
 
 @pytest.mark.parametrize("ordinal", [False, True])
 def test_linearize_matches_rescan_on_the_largest_block_sums(ordinal):
     """The disjoint sum's trace has thousands of pivots, each replayed on read."""
-    _assert_matches_rescan(block_sum((12,) * 16, ordinal))
+    assert _rescan_problems(block_sum((12,) * 16, ordinal)) == []
 
 
 @pytest.mark.parametrize("sizes", [(1,) * 40, (3,) * 16], ids=["antichain", "triples"])
@@ -395,12 +372,12 @@ def test_linearize_matches_both_references_on_the_longest_runs(sizes):
     an override list, also tight- and subnormal-regraded."""
     o = block_sum(sizes)
     if len(sizes) == o.n:  # the antichain
-        for policy, orient in _policies(o)[:2]:
+        for policy in ("low", "high"):
             first = [(s.a.index, s.b.index) for s in linearize(o, policy).trace[: o.n - 1]]
-            assert first == [orient(0, j) for j in range(1, o.n)]
+            assert first == [orientation(o, policy)(0, j) for j in range(1, o.n)]
     for r in dict.fromkeys((o, tight_regrade(o), subnormal_regrade(o))):
-        for policy, orient in _policies(r):
-            _assert_policy_matches_rescan(r, policy, orient)
+        for policy in _policies(r):
+            assert linearize_problems(r, policy) == []
             grid, pivots = closure_linearization(r, policy)
             result = linearize(r, policy)
             assert [(s.a.index, s.b.index) for s in result.trace] == pivots
@@ -426,8 +403,8 @@ def test_runs_batch_the_pivots_of_a_disjoint_sum(monkeypatch):
 def test_linear_grid_matches_rescan_on_order7_orienting_grids(order7):
     for i, j in np.argwhere(_incomparable(order7.grid)):
         for a, b in ((i, j), (j, i)):
-            pre = reference_pivot(order7.grid, a, b)
-            assert _linear_grid(pre).tobytes() == rescan_linearization(pre)[0].tobytes()
+            pre = FuzzyRelation(order7.labels, reference_pivot(order7.grid, a, b))
+            assert linearize_problems(pre) == []
 
 
 # ------------------------------------------------ the restricted pivot update

@@ -19,6 +19,7 @@ examples, so coverage accumulates across runs.
 
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -297,8 +298,10 @@ def well_formed_lines(draw, directory):
 
 
 def manifests(directory):
-    """family.json texts; the absolute entry names a file outside the family directory."""
-    entries = ["member_000.csv", "../in.csv", str(directory / "in.csv"), "", "."]
+    """family.json texts; the absolute entry names a file outside the family
+    directory, and loop.csv and dangling.csv are symlinks that resolve to no file."""
+    entries = ["member_000.csv", "../in.csv", str(directory / "in.csv"), "", ".", "loop.csv",
+               "dangling.csv"]
     return st.one_of(
         st.builds(json.dumps, json_values),
         st.builds(lambda f: json.dumps({"members": [{"file": f}]}), st.sampled_from(entries)),
@@ -323,6 +326,10 @@ def test_run_command_exits_0_1_or_2_and_never_raises(tmp_path, data):
         target = tmp_path / name
         target.parent.mkdir(exist_ok=True)
         target.write_text(text, encoding="utf-8", errors="surrogatepass")
+    for name, target in (("loop.csv", "loop.csv"), ("dangling.csv", "absent.csv")):
+        link = tmp_path / "family" / name
+        if hasattr(os, "symlink") and not link.is_symlink():
+            link.symlink_to(target)
     argv = data.draw(well_formed_lines(tmp_path) | command_lines(tmp_path))
 
     # Strict streams, as a terminal or pipe would have; stdout may be ASCII only.

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,10 +37,10 @@ from genutil import (
     alpha_cut_is_order,
     block_sum,
     block_sums,
+    clamp_problems,
     corpus,
     corrupt,
-    low_rescan,
-    reference_clamp,
+    family_problems,
     reference_incomparable_pairs,
     reference_pivot,
     reference_support_flags,
@@ -77,16 +78,21 @@ def test_construction_rejects_nan_and_infinity():
 
 def test_grades_must_be_real_numbers(order3):
     """A complex grade is refused, not cut to its real part, and a text grade
-    is refused, not read with float(), which takes " 1" and non-ASCII digits;
-    by the constructor and by with_value alike."""
+    is refused, not read with float(), which takes " 1" and non-ASCII digits,
+    also inside an object array; by the constructor and by with_value alike.
+    An object array of ints, floats and Fractions is read as grades."""
+    boxed = [np.full((1, 1), v, dtype=object) for v in (" \u0661", b"1", 1 + 0j, np.complex64(0.5))]
     complex_grids = ([[1 + 0.5j]], np.array([[1 + 0j]]))
     text_grids = ([["1"]], [[" 1"]], [["\u0661"]], [[b"1"]])
-    for grid in (*complex_grids, *text_grids, np.zeros((1, 1), dtype="f8,f8")):
+    for grid in (*complex_grids, *text_grids, np.zeros((1, 1), dtype="f8,f8"), *boxed):
         with pytest.raises(ValueError, match="grades must be real numbers"):
             FuzzyRelation(("a",), grid)
-    for value in (0.5 + 0.5j, np.complex128(0.5), "0.5", " 1"):
+    for value in (0.5 + 0.5j, np.complex128(0.5), "0.5", " 1", *boxed):
         with pytest.raises(ValueError, match="grades must be real numbers"):
             order3.with_value("a", "c", value)
+    mixed = np.array([[1, Fraction(1, 3)], [0, 1.0]], dtype=object)
+    assert FuzzyRelation(("a", "b"), mixed).tolists() == [[1.0, 1 / 3], [0.0, 1.0]]
+    assert order3.with_value("a", "c", Fraction(1, 4)).value("a", "c") == 0.25
     source = np.random.default_rng(0).random((192, 192))
     labels = tuple(f"e{i}" for i in range(192))
     for grid in (source, source.tolist()):  # one copy of a numeric array or list
@@ -366,21 +372,18 @@ def test_order_implies_unit_diagonal_and_one_direction(order7):
 
 
 def _sweep_pivots_clamps_and_round_trips(r):
-    # Every legal pivot_extend of the order r against the pivot formula, and
-    # every clamp_extend against the reference clamp on the "low" rescan
-    # base, bit for bit; each result is an order >= r; r and each result
+    # Every legal pivot_extend of the order r against the pivot formula, bit
+    # for bit, every clamp_extend and the certifying family against their
+    # references; each pivot and clamp is an order >= r; r and each of them
     # come back from CSV and from JSON bit for bit.  Returns the numbers of
     # pivots, clamps and round trips.
+    assert clamp_problems(r) == [] and family_problems(r) == []
     results = [r]
     for a, b in np.argwhere(r.grid.T == 0.0).tolist():
         results.append(pivot_extend(r, a, b))
         assert results[-1].grid.tobytes() == reference_pivot(r.grid, a, b).tobytes()
-    pivots, base = len(results) - 1, low_rescan(r)[0]
-    positive = r.grid > 0.0
-    np.fill_diagonal(positive, False)
-    for i, j in np.argwhere(positive).tolist():
-        results.append(clamp_extend(r, i, j).relation)
-        assert results[-1].grid.tobytes() == reference_clamp(r.grid, base, i, j).tobytes()
+    pivots = len(results) - 1
+    results += [clamp_extend(r, i, j).relation for i, j in np.argwhere(r.grid > 0.0) if i != j]
     for s in results:
         assert brute_check_order(s) and extends(r, s)
         for fmt in ("csv", "json"):
@@ -394,7 +397,7 @@ def test_every_three_point_relation_on_three_grades_gets_one_verdict():
     grades in {0, 1/2, 1}: check_order, the verdict-only check, the brute
     oracle and the alpha-cut oracle agree on each, and 79 are orders.  Each
     order, and its tight and subnormal regrades, passes the sweep of every
-    legal pivot, every clamp and the round trips in both formats."""
+    legal pivot, every clamp, the family and the round trips in both formats."""
     rows, cols = np.nonzero(~np.eye(3, dtype=bool))
     orders, swept = 0, 0
     for grades in itertools.product((0.0, 0.5, 1.0), repeat=len(rows)):
