@@ -32,9 +32,12 @@ pivots in the order a linearization of it alone would.  The stack advances
 in consecutive slabs of members no larger than a fixed byte budget, so its
 memory does not grow with the number of members.
 The first member is r's own "low" linearization and the base of every
-clamp, so r is linearized once.  Equal members are merged on their rank
-grids, in order of first occurrence, and only the merged members are mapped
-back to grades and become relations.
+clamp, so r is linearized once.  A clamp depends on its level beta alone,
+so it is computed once per level that the base does not already keep.
+Equal members are merged on their rank grids, in order of first occurrence,
+and only the merged members are mapped back to grades and become relations.
+The map-back also goes by slabs, of intp ranks cast once per slab, and each
+member owns its own fresh grid.
 """
 
 from __future__ import annotations
@@ -174,10 +177,13 @@ def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
     incomparable, so every member ends as the "low" linearization of its
     pivoted grid would.  The stack advances in slabs of at most
     ``_SLAB_BYTES`` of rank grids.  The first orienting member is r's own
-    "low" linearization and is the base of every clamp member.  Equal
+    "low" linearization and is the base of every clamp member.  The clamps
+    are computed once per grade level that the base does not keep.  Equal
     members are merged on their rank grids, in order of first occurrence;
-    ``built`` on the result counts them before the merge.  Each merged
-    member is then mapped back to r's grades and becomes one relation.
+    ``built`` on the result counts them before the merge.  The merged
+    members are mapped back to r's grades in slabs of at most
+    ``_SLAB_BYTES`` of intp ranks, and each becomes one relation that owns
+    its grid.
     """
     if not _passes_order(r):
         raise PreconditionError("not-an-order", "certifying family requires a valid fuzzy order")
@@ -185,11 +191,12 @@ def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
     labels = r.labels
     positive = r.grid > 0.0
     np.fill_diagonal(positive, False)
-    positives = np.argwhere(positive).tolist()
+    pi, pj = positive.nonzero()  # row-major
+    positives = list(zip(pi.tolist(), pj.tolist()))
+    preserves = [f"preserves({labels[i]},{labels[j]})" for i, j in positives]
     pairs = _incomparable(r.grid).nonzero()
     if not len(pairs[0]):
-        tags = tuple(f"preserves({labels[i]},{labels[j]})" for i, j in positives)
-        return ExtensionFamily((FamilyMember(r, tags),), built=1)
+        return ExtensionFamily((FamilyMember(r, tuple(preserves)),), built=1)
 
     # Rank r once (see the module docstring); levels[rank] gives each grade
     # back bit for bit.
@@ -201,8 +208,8 @@ def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
     bottoms = np.column_stack(pairs[::-1]).ravel()
     merged: dict[bytes, list[str]] = {}  # rank grid bytes -> tags
 
-    def merge(g, tag):
-        merged.setdefault(g.tobytes(), []).append(tag)
+    def merge(key, tag):
+        merged.setdefault(key, []).append(tag)
 
     # The orienting members, one slab at a time: stack[k] starts as member k's
     # pivot max(r, min(r[:, a_k], r[b_k, :])); the cursor then pivots each pair
@@ -212,7 +219,8 @@ def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
     # The n(n - 1) or fewer orienting members fit in one slab for n <= 38
     # with one-byte ranks (at most 256 distinct grades) and for n <= 32 with
     # two-byte ones.
-    slab = max(1, _SLAB_BYTES // grid.nbytes)
+    size = grid.nbytes
+    slab = max(1, _SLAB_BYTES // size)
     for lo in range(0, len(tops), slab):
         a, b = tops[lo:lo + slab], bottoms[lo:lo + slab]
         stack = np.minimum(grid.T[a][:, :, None], grid[b][:, None, :])
@@ -223,24 +231,47 @@ def certifying_family(r: FuzzyRelation) -> ExtensionFamily:
             if len(live):
                 g = stack[live]
                 stack[live] = np.maximum(g, np.minimum(g[:, :, i, None], g[:, j, None, :]), out=g)
-        for k, (top, bottom) in enumerate(zip(a, b)):
-            merge(stack[k], f"orients({labels[top]},{labels[bottom]})")
-        del stack  # merge copied what it keeps; free the slab before seeding the next
-
-    def member_grid(key):
-        return np.frombuffer(key, dtype=grid.dtype).reshape(grid.shape)
+        # Each member's key is its slice of the slab's bytes; free both the
+        # slab and its bytes before seeding the next.
+        keys = stack.tobytes()
+        del stack
+        for at, top, bottom in zip(range(0, len(keys), size), a.tolist(), b.tolist()):
+            merge(keys[at:at + size], f"orients({labels[top]},{labels[bottom]})")
+        del keys
 
     # The first member is r's "low" linearization and the base of every
-    # clamp.  A clamp equal to the base has the base's rank bytes, so its tag
-    # joins the base's tags.
-    base = member_grid(next(iter(merged)))
-    for i, j in positives:
-        merge(_clamp(grid, base, i, j), f"preserves({labels[i]},{labels[j]})")
-    members = tuple(
-        FamilyMember(FuzzyRelation._on_carrier_of(labels, levels[member_grid(key)]), tuple(tags))
-        for key, tags in merged.items()
-    )
-    return ExtensionFamily(members, built=len(tops) + len(positives))
+    # clamp.  A clamp depends on its level beta alone, so it is built once per
+    # level, for the first pair at that level whose grade the base does not
+    # keep; a pair the base keeps gets the base itself.  A clamp equal to the
+    # base has the base's rank bytes, so its tag joins the base's tags.
+    base_key = next(iter(merged))
+    base = np.frombuffer(base_key, dtype=grid.dtype).reshape(grid.shape)
+    betas = grid[pi, pj]
+    # Integer ranks: a comparison loosened by an epsilon is the same one.
+    kept = (base[pi, pj] == betas).tolist()
+    clamps: dict[int, bytes] = {}  # level -> its clamp's rank grid bytes
+    for (i, j), beta, keep, tag in zip(positives, betas.tolist(), kept, preserves):
+        if keep:
+            key = base_key
+        elif (key := clamps.get(beta)) is None:
+            key = clamps[beta] = _clamp(grid, base, i, j).tobytes()
+        merge(key, tag)
+
+    # Map the merged rank grids back to grades a slab of intp ranks at a time:
+    # one cast per slab, then one take per member into its own fresh grid.
+    step = max(1, _SLAB_BYTES // (grid.size * np.dtype(np.intp).itemsize))
+    tagged = list(merged.items())
+    members = []
+    for lo in range(0, len(tagged), step):
+        chunk = tagged[lo:lo + step]
+        ranks = np.frombuffer(b"".join(key for key, _ in chunk), dtype=grid.dtype)
+        ranks = ranks.astype(np.intp).reshape(-1, *grid.shape)
+        members += (
+            FamilyMember(FuzzyRelation._on_carrier_of(labels, levels[g]), tuple(tags))
+            for g, (_, tags) in zip(ranks, chunk)
+        )
+        del ranks  # free the slab before casting the next
+    return ExtensionFamily(tuple(members), built=len(tops) + len(preserves))
 
 
 def verify_intersection(r: FuzzyRelation, family) -> Verdict:

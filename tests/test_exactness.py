@@ -46,7 +46,11 @@ from genutil import (
 # occurs once in its module, inside one function or method.  A new exact
 # comparison joins with the next number and a probe below that flags its
 # loosening.  A mutant whose source text is gone leaves, and its number is
-# not reused, so every other mutant keeps its test ID.
+# not reused, so every other mutant keeps its test ID.  Two equalities in
+# preserving.certifying_family compare integer grade ranks, so an epsilon
+# mutant of either is equivalent and has no entry: the cursor's
+# ``stack[:, i, j] == stack[:, j, i]`` and the clamp base test
+# ``base[pi, pj] == betas``.
 EXACTNESS_MUTANTS = {
     0: ("relation", "bad = via > row", "bad = via > row + 1e-12"),
     1: ("relation", "pos = r.grid > 0.0", "pos = r.grid > 1e-12"),

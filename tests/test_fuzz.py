@@ -11,7 +11,8 @@ Three robustness claims are checked on generated input:
   drawn from the seven commands and their flags (about half of them well
   formed, so that they reach the handlers), for fuzzed input files (orders,
   a parseable non-order and damaged text) and for a stdout that is UTF-8 or
-  ASCII only.
+  ASCII only; and ``verify`` does the same on a family that ``family -o``
+  wrote, with one member file or manifest entry dropped, damaged or replaced.
 
 Example counts stay small so the suite stays quick; every run draws new
 examples, so coverage accumulates across runs.
@@ -20,7 +21,9 @@ examples, so coverage accumulates across runs.
 import io
 import json
 import os
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
@@ -332,10 +335,66 @@ def test_run_command_exits_0_1_or_2_and_never_raises(tmp_path, data):
             link.symlink_to(target)
     argv = data.draw(well_formed_lines(tmp_path) | command_lines(tmp_path))
 
+    assert _run(argv, data.draw(st.sampled_from(["utf-8", "ascii"]))) in (0, 1, 2)
+
+
+def _run(argv, encoding="utf-8"):
     # Strict streams, as a terminal or pipe would have; stdout may be ASCII only.
-    encoding = data.draw(st.sampled_from(["utf-8", "ascii"]))
     out = io.TextIOWrapper(io.BytesIO(), encoding=encoding)
     err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     with redirect_stdout(out), redirect_stderr(err):
-        code = run_command(argv)
+        return run_command(argv)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_verify_exits_0_1_or_2_on_a_damaged_family(tmp_path, data):
+    """One fault in a family that ``family -o`` wrote: a member file or a
+    manifest entry dropped, damaged or replaced.  A dropped file always
+    exits 2, since the manifest still names it."""
+    directory = Path(tempfile.mkdtemp(dir=tmp_path))  # fresh for each example
+    source, family = directory / "in.csv", directory / "family"
+    source.write_text(data.draw(st.sampled_from(VALID_DOCS)), encoding="utf-8")
+    fmt = data.draw(st.sampled_from(FORMATS))
+    assert _run(["family", str(source), "-o", str(family), "--format", fmt]) == 0
+    manifest = json.loads((family / "family.json").read_text(encoding="utf-8"))
+    entries = manifest["members"]
+    k = data.draw(st.integers(0, len(entries) - 1))
+    member = family / entries[k]["file"]
+    fault = data.draw(st.sampled_from(["drop", "damage", "replace"]))
+    in_file = data.draw(st.booleans())  # else in the member's manifest entry
+    if in_file:
+        if fault == "drop":
+            member.unlink()
+        else:
+            text = member.read_text(encoding="utf-8")
+            if fault == "damage":
+                start = data.draw(st.integers(0, len(text)))
+                stop = data.draw(st.integers(start, min(len(text), start + 8)))
+                text = text[:start] + data.draw(st.text(DOC_CHARS, max_size=8)) + text[stop:]
+            else:
+                text = data.draw(st.sampled_from(VALID_DOCS + NON_ORDER_DOCS) | documents)
+            member.write_text(text, encoding="utf-8", errors="surrogatepass")
+    else:
+        if fault == "drop":
+            del entries[k]
+        elif fault == "damage":
+            entries[k] = data.draw(json_values)
+        else:  # another member's file, or one that is no member
+            for name, target in (("loop.csv", "loop.csv"), ("dangling.csv", "absent.csv")):
+                if hasattr(os, "symlink"):
+                    (family / name).symlink_to(target)
+            faulty = ["../in.csv", "absent.csv", "", ".", "family.json", "loop.csv", "dangling.csv"]
+            names = st.sampled_from([e["file"] for e in entries]) | st.sampled_from(faulty)
+            entries[k] = {"file": data.draw(names)}
+        (family / "family.json").write_text(json.dumps(manifest), encoding="utf-8")
+    argv = ["verify", str(source), "--family", str(family)]
+    code = _run(argv + data.draw(st.sampled_from([[], ["--json"]])),
+                data.draw(st.sampled_from(["utf-8", "ascii"])))
     assert code in (0, 1, 2)
+    if in_file and fault == "drop":
+        assert code == 2

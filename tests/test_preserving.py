@@ -282,10 +282,17 @@ def test_family_does_not_depend_on_the_slab_size(
     monkeypatch, order3, order4, order7, order7_linear
 ):
     """One member per slab gives the reference's members, tags, order and
-    ``built``, as whole slabs do."""
+    ``built``, as whole slabs do.  So do slabs of three intp rank grids, which
+    split the map-back inside any family of more than three members, and the
+    stack into slabs of 24 one-byte (12 two-byte) rank grids."""
+    goldens = [order3, order4, order7, order7_linear]
     monkeypatch.setattr(preserving, "_SLAB_BYTES", 1)
-    for r in [order3, order4, order7, order7_linear, *corpus(100, max_n=12)]:
+    for r in goldens + corpus(100, max_n=12):
         assert family_problems(r) == []
+    for r in goldens + corpus(100) + block_sums()[:2] + [_chains((24, 3))]:
+        monkeypatch.setattr(preserving, "_SLAB_BYTES", 3 * r.grid.nbytes)
+        assert family_problems(r) == []
+    assert len(certifying_family(order7)) > 3
 
 
 def _chains(sizes):
@@ -341,6 +348,40 @@ def test_family_linearizes_the_order_once(monkeypatch, order3, order4, order7):
     for r in orders:
         certifying_family(r)
     assert calls == {"linear_grid": 0, "incomparable": len(orders)}
+
+
+def test_family_clamps_once_per_level(monkeypatch, order3, order4, order7, order7_linear):
+    """A clamp depends on its level alone: the family clamps once per grade
+    r(i, j) of a positive pair whose grade the base (r's "low" linearization)
+    does not keep, not once per positive pair; on the goldens, the corpus, the
+    block sums up to n = 48 and an order with two-byte ranks."""
+    orders = [order3, order4, order7, order7_linear, *corpus(100)]
+    orders += [r for r in block_sums() if r.n <= 48] + [_chains((24, 3))]
+    clamp, calls = preserving._clamp, []
+    monkeypatch.setattr(preserving, "_clamp", lambda *args: calls.append(args[2:]) or clamp(*args))
+    for r in orders:
+        calls.clear()
+        certifying_family(r)
+        unkept = (r.grid > 0.0) & (linearize(r).relation.grid != r.grid)
+        assert sorted(r.grid[i, j] for i, j in calls) == list(np.unique(r.grid[unkept])), r.labels
+
+
+def test_family_maps_back_in_bounded_memory():
+    """Besides the members' own grids, building a family of 1,430 members
+    holds at most the merged rank grids and two slabs: the map-back casts
+    one slab of ranks at a time, not the whole family."""
+    r = block_sums()[2]  # the disjoint sum of four 12-element blocks
+    tracemalloc.start()
+    try:
+        family = certifying_family(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(family.members) == 1430
+    grids = sum(m.relation.grid.nbytes for m in family.members)
+    rank_bytes = len(family.members) * r.n * r.n  # one-byte ranks
+    assert len(np.unique(r.grid)) <= 256
+    assert peak - grids <= rank_bytes + 2 * preserving._SLAB_BYTES, peak - grids
 
 
 def test_family_builds_one_relation_per_member(monkeypatch, order3, order4, order7):
