@@ -10,9 +10,18 @@ Parse errors carry 1-based (row, column) positions.  In CSV they are the
 positioned by ``"matrix"`` row and entry, not by text line and column;
 JSON syntax errors carry the text line and column.
 
-Grades are emitted with the shortest decimal representation that parses
-back to the identical binary64 value (integral grades are written without
-a fractional part), so parse -> emit -> parse is value-identical.
+Every Zadeh order has at least n(n+1)/2 grades equal to 0 or 1, so both
+directions treat those two apart.  A parser reads all of its document's
+grades in one pass: the texts ``0`` and ``1`` (a CSV cell, a JSON integer
+literal) come from a two-entry table, any other text goes through
+``float()``, and CSV's ASCII rule is checked on all cells at once.  Only a
+document whose pass meets a malformed cell is read again row by row, and
+the first row that fails cell by cell, so its first error and position are
+the ones a cell-by-cell reader finds.  The emitter writes 0 and 1 as fixed
+texts and calls ``repr`` only on fractional grades: the shortest decimal
+that parses back to the identical binary64 value, so parse -> emit -> parse
+is value-identical.  CSV rows go through ``csv.writer``; the JSON matrix is
+joined in ``json.dumps``'s own layout.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +69,15 @@ def detect_format(text: str) -> str:
     return "json" if text.removeprefix(_BOM).lstrip()[:1] == "{" else "csv"
 
 
+class _Grades(dict):
+    # Grade texts to grades: "0" and "1" are looked up; a miss returns
+    # float(text), which reads or refuses it, and stores nothing.
+    __missing__ = float
+
+
+_GRADES = _Grades({"0": 0.0, "1": 1.0})
+
+
 def _read_json(text: str, name: str = ""):
     """Decode JSON text, reading integer literals of any length as floats.
 
@@ -66,63 +85,69 @@ def _read_json(text: str, name: str = ""):
     ``name`` prefixes every message.
     """
     try:
-        return json.loads(text, parse_int=float)
+        return json.loads(text, parse_int=_GRADES.__getitem__)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{name}invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
     except RecursionError:
         raise ParseError(f"{name}invalid JSON: arrays or objects nested too deeply") from None
 
 
-def _csv_cells(cells: list[str]) -> list[float]:
+def _csv_grades(rows: list[list[str]]) -> np.ndarray:
     # float() also reads "_" between digits and non-ASCII digits such as
     # "٠.٥"; a JSON number holds neither, and neither may a CSV grade
     # cell.  float() strips less whitespace than str.strip(), which the
     # per-cell rescan applies first.
-    joined = "".join(cells)
+    joined = "".join(map("".join, rows))
     if not joined.isascii() or "_" in joined:
         raise ValueError(joined)
-    return list(map(float, cells))
+    cells = chain.from_iterable(rows)
+    return np.fromiter(map(_GRADES.__getitem__, cells), float, sum(map(len, rows)))
 
 
-def _json_cells(row: list) -> list[float]:
-    if set(map(type, row)) != {float}:  # every JSON number is read as a float
-        raise ValueError(row)
-    return row
+def _json_grades(rows: list[list]) -> np.ndarray:
+    if not set(map(type, chain.from_iterable(rows))) <= {float}:  # every JSON number is a float
+        raise ValueError(rows)
+    return np.fromiter(chain.from_iterable(rows), float, sum(map(len, rows)))
 
 
-def _rescan(cells, read_cells, prep) -> list[float]:
+def _rescan(cells, read_grades, prep) -> list[float]:
     """The grades of ``cells`` read one at a time, up to the first malformed one."""
     grades = []
     for cell in cells:
         try:
-            grades += read_cells([prep(cell)])
+            grades += read_grades([[prep(cell)]]).tolist()
         except ValueError:
             break
     return grades
 
 
-def _grid(rows, read_cells, row0: int, col0: int, pending=None, prep=lambda cell: cell):
+def _grid(rows, read_grades, row0: int, col0: int, pending=None, prep=lambda cell: cell):
     """The grid of ``rows`` of grade cells, -0.0 made +0.0, or the document's first error.
 
-    ``read_cells`` reads a whole row, raising ValueError on a malformed cell;
-    a row it refuses is rescanned.  Entry (i, j) sits at (row0 + i, col0 + j),
-    and ``pending`` is the parser's error in the row after ``rows``.  Raised,
-    in turn: the row-major first grade outside [0, 1] (NaN included), the
-    first malformed cell, ``pending``.
+    ``read_grades`` reads the cells of a list of rows in one pass, raising
+    ValueError on a malformed cell; if it refuses the document, the rows are
+    read one by one and the first row it refuses is rescanned.  Entry (i, j)
+    sits at (row0 + i, col0 + j), and ``pending`` is the parser's error in
+    the row after ``rows``.  Raised, in turn: the row-major first grade
+    outside [0, 1] (NaN included), the first malformed cell, ``pending``.
     """
-    # Each row is written into the one grid; rows after a malformed cell stay 0.
-    grid = np.zeros((len(rows), len(rows[0]) if rows else 0))
-    for i, cells in enumerate(rows):
-        try:
-            grid[i] = read_cells(cells)
-        except ValueError:
-            grades = _rescan(cells, read_cells, prep)
-            j = len(grades)
-            # The grades before a malformed cell still meet the range check.
-            grid[i, :j] = grades
-            if j < len(cells):
-                pending = ParseError(f"malformed number {prep(cells[j])!r}", row0 + i, col0 + j)
-                break
+    shape = len(rows), len(rows[0]) if rows else 0
+    try:
+        grid = read_grades(rows).reshape(shape)
+    except ValueError:
+        # Each row is written into the one grid; rows after a malformed cell stay 0.
+        grid = np.zeros(shape)
+        for i, cells in enumerate(rows):
+            try:
+                grid[i] = read_grades([cells])
+            except ValueError:
+                grades = _rescan(cells, read_grades, prep)
+                j = len(grades)
+                # The grades before a malformed cell still meet the range check.
+                grid[i, :j] = grades
+                if j < len(cells):
+                    pending = ParseError(f"malformed number {prep(cells[j])!r}", row0 + i, col0 + j)
+                    break
     bad = ~((grid >= 0.0) & (grid <= 1.0))
     if bad.any():
         i, j = divmod(int(bad.argmax()), grid.shape[1])
@@ -175,7 +200,7 @@ def _parse_csv(text: str) -> FuzzyRelation:
             )
             break
         rows.append(line)
-    grid = _grid(rows, _csv_cells, 2, 2, pending, str.strip)
+    grid = _grid(rows, _csv_grades, 2, 2, pending, str.strip)
     return FuzzyRelation._on_carrier_of(tuple(labels), grid)
 
 
@@ -201,7 +226,7 @@ def _parse_json(text: str) -> FuzzyRelation:
             pending = ParseError(f"matrix row {i} must have {n} entries", i, 1)
             break
         rows.append(row)
-    return FuzzyRelation._on_carrier_of(tuple(labels), _grid(rows, _json_cells, 1, 1, pending))
+    return FuzzyRelation._on_carrier_of(tuple(labels), _grid(rows, _json_grades, 1, 1, pending))
 
 
 def parse_matrix(text: str, fmt: str | None = None) -> FuzzyRelation:
@@ -223,14 +248,19 @@ def parse_matrix(text: str, fmt: str | None = None) -> FuzzyRelation:
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
-def _cells(grid: np.ndarray) -> np.ndarray:
-    # Grades as Python numbers whose repr is their text: the shortest decimal
-    # that parses back to the same float, or an int for the only integral
-    # grades in [0, 1], 0 and 1 (so -0.0 is written as 0).
-    cells = grid.astype(object)
-    cells[grid == 0.0] = 0
-    cells[grid == 1.0] = 1
-    return cells
+_DIGITS = np.array(["0", "1"], dtype=object)
+
+
+def _texts(grid: np.ndarray) -> np.ndarray:
+    # Each grade's text: "0" and "1" for the only integral grades in [0, 1]
+    # (so -0.0 is written as 0), and the repr of a fractional grade, the
+    # shortest decimal that parses back to the same float.
+    one = grid == 1.0
+    texts = _DIGITS[one.view(np.uint8)]
+    fractional = grid != 0.0
+    fractional &= ~one
+    texts[fractional] = np.array([*map(repr, grid[fractional].tolist())], dtype=object)
+    return texts
 
 
 def emit_matrix(r: FuzzyRelation, fmt: str = "csv") -> str:
@@ -239,12 +269,12 @@ def emit_matrix(r: FuzzyRelation, fmt: str = "csv") -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["", *r.labels])
-        # csv writes a float as its repr
-        writer.writerows([label, *row] for label, row in zip(r.labels, _cells(r.grid).tolist()))
+        writer.writerows([label, *row] for label, row in zip(r.labels, _texts(r.grid).tolist()))
         return out.getvalue()
     if fmt == "json":
-        doc = {"elements": list(r.labels), "matrix": _cells(r.grid).tolist()}
-        return json.dumps(doc) + "\n"
+        # json.dumps's own layout, with the matrix's texts joined as they are.
+        rows = ", ".join(f"[{', '.join(row)}]" for row in _texts(r.grid).tolist())
+        return f'{{"elements": {json.dumps(list(r.labels))}, "matrix": [{rows}]}}\n'
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 

@@ -98,6 +98,26 @@ def test_linearize_policy_high(capsys):
     assert relation.tolists() == [[1, 0, 0.4], [1, 1, 0.4], [0, 0, 1]]
 
 
+def test_linearize_high_on_the_transposed_fixture_is_the_transposed_low(tmp_path, capsys):
+    """Duality: the transposed order7 linearized under "high" is the transpose
+    of order7 linearized under "low", byte for byte, with each pivot reversed."""
+    r, _ = load_matrix(ORDER7)
+    dual = tmp_path / "order7_transposed.csv"
+    dual.write_text(emit_matrix(FuzzyRelation(r.labels, r.grid.T)), encoding="utf-8")
+    traces = {}
+    for policy, source in (("low", ORDER7), ("high", str(dual))):
+        out = tmp_path / f"{policy}.csv"
+        argv = ["linearize", source, "--policy", policy, "--trace", "--json", "-o", str(out)]
+        assert run_command(argv) == 0
+        traces[policy] = json.loads(capsys.readouterr().out)["trace"]
+    low = parse_matrix((tmp_path / "low.csv").read_text(encoding="utf-8"))
+    expected = emit_matrix(FuzzyRelation(low.labels, low.grid.T))
+    assert (tmp_path / "high.csv").read_text(encoding="utf-8") == expected
+    assert traces["high"]["k"] == traces["low"]["k"] == 2
+    pivots = {policy: [(s["a"], s["b"]) for s in t["steps"]] for policy, t in traces.items()}
+    assert pivots["high"] == [(b, a) for a, b in pivots["low"]]
+
+
 def test_linearize_rejects_non_order(corrupted_file):
     assert run_command(["linearize", corrupted_file]) == 1
 

@@ -93,9 +93,9 @@ EXACTNESS_MUTANTS = {
     ),
     20: ("preserving", "positive = r.grid > 0.0", "positive = r.grid > 1e-12"),
     21: ("preserving", "np.where(grid > beta, base,", "np.where(grid > beta + 1e-12, base,"),
-    22: ("matrixio", "cells[grid == 0.0] = 0", "cells[np.abs(grid) <= 1e-12] = 0"),
     23: ("preserving", "if beta == 0.0:", "if beta <= 1e-12:"),
-    24: ("matrixio", "cells[grid == 1.0] = 1", "cells[np.abs(grid - 1.0) <= 1e-12] = 1"),
+    25: ("matrixio", "one = grid == 1.0", "one = np.abs(grid - 1.0) <= 1e-12"),
+    26: ("matrixio", "fractional = grid != 0.0", "fractional = np.abs(grid) > 1e-12"),
 }
 
 GOLDENS = [

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzorder import (
     FuzzyRelation,
@@ -156,6 +157,82 @@ def test_parse_reports_the_first_error_in_row_major_order(text, message):
     with pytest.raises(ParseError) as exc:
         parse_matrix(text)
     assert str(exc.value) == message
+
+
+# Damages for a grade cell: (text, expected message), by format.  Malformed
+# cells name their text; out-of-range ones their value.
+BAD_CELLS = {
+    "csv": [
+        ("x", "malformed number 'x'"),
+        ("1_0", "malformed number '1_0'"),
+        ("\u0660.\u0665", "malformed number '\u0660.\u0665'"),
+        ("0x1p-1", "malformed number '0x1p-1'"),
+        ("1.5", "value 1.5 outside [0, 1]"),
+        ("-0.5", "value -0.5 outside [0, 1]"),
+        ("nan", "value nan outside [0, 1]"),
+    ],
+    "json": [
+        ('"0.5"', "malformed number '0.5'"),
+        ("true", "malformed number True"),
+        ("null", "malformed number None"),
+        ("1.5", "value 1.5 outside [0, 1]"),
+        ("-0.5", "value -0.5 outside [0, 1]"),
+        ("NaN", "value nan outside [0, 1]"),
+    ],
+}
+
+
+def _document(r, fmt, damages):
+    # r emitted in fmt, with the grade cell at (i, j) of the matrix replaced
+    # by the text damages[i, j]; generated labels hold no comma or quote.
+    text = emit_matrix(r, fmt)
+    if fmt == "csv":
+        lines = [line.split(",") for line in text.splitlines()]
+        for (i, j), cell in damages.items():
+            lines[i + 1][j + 1] = cell
+        return "".join(",".join(line) + "\n" for line in lines)
+    rows = json.loads(text, parse_int=str, parse_float=str)["matrix"]
+    for (i, j), cell in damages.items():
+        rows[i][j] = cell
+    matrix = ", ".join(f"[{', '.join(row)}]" for row in rows)
+    return f'{{"elements": {json.dumps(list(r.labels))}, "matrix": [{matrix}]}}'
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.sampled_from((0.0, 0.3, 0.6, 1.0)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("csv", "json")),
+    st.data(),
+)
+def test_parse_names_the_first_bad_cell_in_row_major_order(n, density, seed, fmt, data):
+    """One or two damaged cells in an emitted order: the error is the
+    row-major first one's, at its (row, column), whatever the other holds."""
+    r = random_zadeh_order(GeneratorSpec(n=n, density=density, seed=seed))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    where = data.draw(st.lists(cells, min_size=1, max_size=2, unique=True))
+    bad = data.draw(st.lists(st.sampled_from(BAD_CELLS[fmt]), min_size=len(where),
+                             max_size=len(where)))
+    damages = dict(zip(where, bad))
+    (i, j), (_, message) = min(damages.items())
+    offset = 2 if fmt == "csv" else 1  # the header row and label column, in CSV
+    with pytest.raises(ParseError) as exc:
+        parse_matrix(_document(r, fmt, {at: text for at, (text, _) in damages.items()}), fmt)
+    assert (exc.value.row, exc.value.col) == (i + offset, j + offset)
+    assert str(exc.value) == f"{message} (row {i + offset}, column {j + offset})"
+
+
+@pytest.mark.parametrize("cell", ["0.0", "-0", "1.0", "1e0", "+1", " 1", "00"])
+def test_parse_csv_reads_other_texts_of_0_and_1_as_float_does(cell):
+    r = parse_matrix(f",a,b\na,1,{cell}\nb,0,1\n")
+    assert r.grid[0, 1].tobytes() == np.float64(float(cell) + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("literal", ["0", "-0"])
+def test_parse_json_reads_integer_literal_zeros_as_positive_zero(literal):
+    r = parse_matrix('{"elements": ["a", "b"], "matrix": [[1, ' + literal + "], [0, 1]]}")
+    assert r.grid[0, 1].tobytes() == np.float64(0.0).tobytes()
 
 
 class _Rescanned(Exception):

@@ -188,6 +188,19 @@ def test_roundtrip_property(r, fmt):
     assert parse_matrix(emit_matrix(r, fmt), fmt) == r
 
 
+@settings(max_examples=100, deadline=None)
+@given(orders())
+def test_linearize_commutes_with_transposition(r):
+    """Duality: the transpose of an order is an order, and linearizing it under
+    "low" is linearizing r under "high", transposed, bit for bit, with the
+    same k and each pivot's a and b swapped."""
+    dual = linearize(FuzzyRelation(r.labels, r.grid.T), "low")
+    high = linearize(r, "high")
+    assert dual.relation.grid.tobytes() == high.relation.grid.T.tobytes()
+    assert dual.k == high.k
+    assert [(s.a, s.b) for s in dual.trace] == [(s.b, s.a) for s in high.trace]
+
+
 def _regrading(draw, r):
     # A strictly increasing map of r's grades in (0, 1), fixing 0 and 1.
     grades = np.unique(r.grid[(r.grid > 0.0) & (r.grid < 1.0)])
